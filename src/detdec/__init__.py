@@ -5,7 +5,6 @@ from .bestresponse import (
     ExtState,
     build_br_detpomdp,
     build_init_detpomdp,
-    initial_ext_belief,
 )
 from .collecting import CollectingInstance, CollectingModel, CollectingSpec, collecting_generate
 from .detpomdp import (
@@ -15,13 +14,12 @@ from .detpomdp import (
     best_fixed_action,
     exact_belief_vi,
     fsc_value_in,
-    lower_bound,
     solve,
     upper_bound,
 )
 from .errors import MissingStateError, PolicyFormatError, ResourceLimitError
 from .evaluation import EvalReport, evaluate, exact_value, mc_value
-from .fsc import Fsc, FscNode, JointPolicy, deserialize, fsc_size, serialize
+from .fsc import Fsc, FscNode, JointPolicy, deserialize, serialize
 from .idpp import IdppParams, InitResult, IterationRecord, RunResult, heuristic_init, nash_check, run
 from .mactp import MactpInstance, MactpModel, MactpSpec, mactp_generate
 from .mdp import MdpPolicy, MdpValueTable, default_policy, value_iteration
@@ -36,13 +34,13 @@ from .model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrDetPomdp", "ExtState", "build_br_detpomdp", "build_init_detpomdp", "initial_ext_belief",
+    "BrDetPomdp", "ExtState", "build_br_detpomdp", "build_init_detpomdp",
     "CollectingInstance", "CollectingModel", "CollectingSpec", "collecting_generate",
     "SolveParams", "SolveResult", "belief_successors", "best_fixed_action",
-    "exact_belief_vi", "fsc_value_in", "lower_bound", "solve", "upper_bound",
+    "exact_belief_vi", "fsc_value_in", "solve", "upper_bound",
     "MissingStateError", "PolicyFormatError", "ResourceLimitError",
     "EvalReport", "evaluate", "exact_value", "mc_value",
-    "Fsc", "FscNode", "JointPolicy", "deserialize", "fsc_size", "serialize",
+    "Fsc", "FscNode", "JointPolicy", "deserialize", "serialize",
     "IdppParams", "InitResult", "IterationRecord", "RunResult",
     "heuristic_init", "nash_check", "run",
     "MactpInstance", "MactpModel", "MactpSpec", "mactp_generate",

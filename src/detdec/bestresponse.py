@@ -191,8 +191,3 @@ def build_init_detpomdp(
         value_table=value_table if value_table is not None else pi_mdp.table,
         cache=cache,
     )
-
-
-def initial_ext_belief(problem: BrDetPomdp) -> SupportBelief:
-    """Initial belief of a derived single-agent problem (module-level alias)."""
-    return problem.initial_belief()

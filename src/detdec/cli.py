@@ -36,6 +36,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
+# errors that are the user's input or budget, not a bug: exit 1 with a message
+USER_ERRORS = (OSError, ValueError, MissingStateError, PolicyFormatError, ResourceLimitError)
+
 HISTORY_COLUMNS = ["round", "agent", "pre_value", "post_value", "accepted", "solver_nodes", "seconds"]
 
 BENCH_COLUMNS = [
@@ -80,8 +83,6 @@ class RunConfig:
             seed=self.seed,
             mdp_tol=self.mdp_tol,
             state_cap=self.state_cap,
-            eval_episodes=self.episodes,
-            eval_horizon=self.horizon,
         )
 
     def to_json(self) -> str:
@@ -96,12 +97,8 @@ def out_root() -> Path:
     return Path(os.environ.get(OUT_ROOT_ENV, "."))
 
 
-def _load_instance(path: str | Path) -> DetDecModel:
-    return envs.load_model(path)
-
-
 def _apply_gamma(path: str | Path, gamma: float | None) -> DetDecModel:
-    model = _load_instance(path)
+    model = envs.load_model(path)
     if gamma is not None and gamma != model.discount:
         doc = model.descriptor()
         doc["gamma"] = gamma
@@ -146,6 +143,34 @@ def write_history_csv(path: Path, history) -> None:
             ])
 
 
+def _run_algo(config: RunConfig):
+    """The idpp / init-only dispatch shared by ``solve`` and ``bench``.
+
+    Returns ``(model, policy, history, summary, seconds)``; ``summary`` holds
+    the report fields of the run and ``seconds`` excludes instance loading.
+    """
+    model = _apply_gamma(config.instance, config.gamma)
+    params = config.idpp_params()
+    t0 = time.perf_counter()
+    if config.algo == "init-only":
+        init = idpp.heuristic_init(model, params)
+        policy, history, converged = init.policy, [], init.converged
+        summary = {"final_value": init.value, "rounds": 0, "budget_hit": not converged}
+    else:
+        run = idpp.run(model, params)
+        init, policy, history, converged = run.init, run.policy, run.history, run.converged
+        summary = {
+            "final_value": run.final_value,
+            "rounds": run.rounds_completed,
+            "budget_hit": run.budget_hit,
+            "iterations": [asdict(rec) for rec in history],
+        }
+    seconds = time.perf_counter() - t0
+    summary.update(converged=converged, init_value=init.value,
+                   init_records=[asdict(r) for r in init.records])
+    return model, policy, history, summary, seconds
+
+
 def run_solve(config: RunConfig, out_dir: Path) -> dict:
     """Run one solve per the config, write all artifacts, return the report."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,38 +178,7 @@ def run_solve(config: RunConfig, out_dir: Path) -> dict:
     instance_text = Path(config.instance).read_text(encoding="utf-8")
     (out_dir / "instance.json").write_text(instance_text, encoding="utf-8")
 
-    model = _apply_gamma(config.instance, config.gamma)
-    params = config.idpp_params()
-    t0 = time.perf_counter()
-    if config.algo == "init-only":
-        init = idpp.heuristic_init(model, params)
-        policy = init.policy
-        history = []
-        converged = init.converged
-        report_extra = {
-            "final_value": init.value,
-            "init_value": init.value,
-            "rounds": 0,
-            "budget_hit": not init.converged,
-            "init_records": [asdict(r) for r in init.records],
-        }
-    else:
-        run = idpp.run(model, params)
-        policy = run.policy
-        history = run.history
-        converged = run.converged
-        report_extra = {
-            "final_value": run.final_value,
-            "init_value": run.init_value,
-            "rounds": run.rounds_completed,
-            "budget_hit": run.budget_hit,
-            "init_records": [asdict(r) for r in run.init.records],
-            "iterations": [
-                {k: v for k, v in asdict(rec).items()} for rec in history
-            ],
-        }
-    elapsed = time.perf_counter() - t0
-
+    model, policy, history, summary, elapsed = _run_algo(config)
     (out_dir / "policy.json").write_text(serialize(policy) + "\n", encoding="utf-8")
     write_history_csv(out_dir / "history.csv", history)
     eval_report = evaluate(model, policy, exact=True, episodes=config.episodes,
@@ -194,11 +188,10 @@ def run_solve(config: RunConfig, out_dir: Path) -> dict:
         "instance": config.instance,
         "family": model.descriptor().get("family"),
         "seed": config.seed,
-        "converged": converged,
         "policy_sizes": list(policy.sizes()),
         "evaluation": eval_report.to_dict(),
         "seconds": elapsed,
-        **report_extra,
+        **summary,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
                                          encoding="utf-8")
@@ -261,7 +254,7 @@ def _check_policy_matches(model: DetDecModel, policy: JointPolicy) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model = _load_instance(args.instance)
+    model = envs.load_model(args.instance)
     policy = deserialize(Path(args.policy).read_text(encoding="utf-8"))
     _check_policy_matches(model, policy)
     report = evaluate(model, policy, exact=args.exact, episodes=args.episodes,
@@ -282,42 +275,32 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _bench_cell(payload: tuple) -> dict:
+    """One matrix cell: a run row, or an error row if the run hit a user error."""
     instance, algo, seed, base = payload
-    config = RunConfig(**{**base, "instance": instance, "algo": algo, "seed": seed})
-    model = _apply_gamma(config.instance, config.gamma)
-    params = config.idpp_params()
-    t0 = time.perf_counter()
-    if algo == "init-only":
-        init = idpp.heuristic_init(model, params)
-        policy, converged = init.policy, init.converged
-        iterations = 0
-        accepted = 0
-        value = init.value
-    else:
-        run = idpp.run(model, params)
-        policy, converged = run.policy, run.converged
-        iterations = len(run.history)
-        accepted = sum(1 for r in run.history if r.accepted)
-        value = run.final_value
-    seconds = time.perf_counter() - t0
-    row = {
-        "kind": "run",
-        "instance": instance,
-        "family": model.descriptor().get("family"),
-        "algo": algo,
-        "seed": seed,
-        "exact_value": value,
-        "converged": converged,
-        "iterations": iterations,
-        "accepted_updates": accepted,
-        "seconds": seconds,
-    }
-    if config.episodes:
-        rep = evaluate(model, policy, exact=False, episodes=config.episodes,
-                       horizon=config.horizon, seed=seed)
-        row["mc_mean"] = rep.mc_mean
-        row["mc_std_error"] = rep.mc_std_error
-    return row
+    try:
+        config = RunConfig(**{**base, "instance": instance, "algo": algo, "seed": seed})
+        model, policy, history, summary, seconds = _run_algo(config)
+        row = {
+            "kind": "run",
+            "instance": instance,
+            "family": model.descriptor().get("family"),
+            "algo": algo,
+            "seed": seed,
+            "exact_value": summary["final_value"],
+            "converged": summary["converged"],
+            "iterations": len(history),
+            "accepted_updates": sum(1 for r in history if r.accepted),
+            "seconds": seconds,
+        }
+        if config.episodes:
+            rep = evaluate(model, policy, exact=False, episodes=config.episodes,
+                           horizon=config.horizon, seed=seed)
+            row["mc_mean"] = rep.mc_mean
+            row["mc_std_error"] = rep.mc_std_error
+        return row
+    except USER_ERRORS as exc:
+        return {"kind": "run", "instance": instance, "algo": algo, "seed": seed,
+                "converged": f"error:{type(exc).__name__}"}
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -348,20 +331,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for algo in algos
         for seed in range(args.seed0, args.seed0 + args.seeds)
     ]
-    rows: list[dict] = []
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for row in pool.map(_bench_cell, cells):
-                rows.append(row)
+            rows = list(pool.map(_bench_cell, cells))
     else:
-        for cell in cells:
-            try:
-                rows.append(_bench_cell(cell))
-            except Exception as exc:  # record the failure, continue the batch
-                rows.append({
-                    "kind": "run", "instance": cell[0], "algo": cell[1],
-                    "seed": cell[2], "converged": f"error:{type(exc).__name__}",
-                })
+        rows = [_bench_cell(cell) for cell in cells]
     aggregates = []
     for instance in args.instance:
         for algo in algos:
@@ -482,7 +456,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, MissingStateError, PolicyFormatError, ResourceLimitError) as exc:
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -183,7 +183,15 @@ class CollectingModel(DetDecModel):
 
     # --- dynamics ----------------------------------------------------------
 
-    def _advance(self, state: int, action) -> tuple[list[int], list[int], int, int, float]:
+    def step(self, state, action):
+        action = tuple(action)
+        self.check_action(action)
+        s2, reward = self.transition_only(state, action)
+        return s2, self._observe(s2), reward
+
+    def transition_only(self, state, action):
+        if self.is_terminal(state):
+            return state, 0.0
         cells, carries, boxmask, flags = self.unpack(state)
         cells = list(cells)
         carries = list(carries)
@@ -209,28 +217,11 @@ class CollectingModel(DetDecModel):
                 if boxmask >> f & 1:
                     boxmask &= ~(1 << f)
                     carries[i] = 1
-        return cells, carries, boxmask, flags, reward
-
-    def step(self, state, action):
-        action = tuple(action)
-        self._check_state(state)
-        self.check_action(action)
-        if self.is_terminal(state):
-            cells, _, boxmask, _ = self.unpack(state)
-            return state, self._observe(cells, boxmask), 0.0
-        cells, carries, boxmask, flags, reward = self._advance(state, action)
-        s2 = self.pack(cells, carries, boxmask, flags)
-        return s2, self._observe(cells, boxmask), reward
-
-    def transition_only(self, state, action):
-        action = tuple(action)
-        self._check_state(state)
-        if self.is_terminal(state):
-            return state, 0.0
-        cells, carries, boxmask, flags, reward = self._advance(state, action)
         return self.pack(cells, carries, boxmask, flags), reward
 
-    def _observe(self, cells, boxmask: int) -> tuple[int, ...]:
+    def _observe(self, state: int) -> tuple[int, ...]:
+        """Joint observation of arriving in ``state``: each agent's rendered 3x3 patch."""
+        cells, _, boxmask, _ = self.unpack(state)
         occupied = set(cells)
         base = self._base
         fidx = self._fidx

@@ -162,11 +162,6 @@ def best_fixed_action(belief: SupportBelief, m: BrDetPomdp, memo: dict | None = 
     return best_v, best_a
 
 
-def lower_bound(belief: SupportBelief, m: BrDetPomdp, memo: dict | None = None) -> float:
-    """Achievable bound: the best fixed-action-forever value over the support."""
-    return best_fixed_action(belief, m, memo)[0]
-
-
 def fsc_value_in(
     m: BrDetPomdp,
     fsc: Fsc,

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 from .collecting import CollectingModel, CollectingSpec, collecting_generate
-from .errors import PolicyFormatError, ResourceLimitError
+from .errors import PolicyFormatError
 from .mactp import MactpModel, MactpSpec, mactp_generate
 from .model import DetDecModel
 
@@ -18,7 +18,6 @@ __all__ = [
     "model_from_descriptor",
     "load_model",
     "save_descriptor",
-    "count_reachable_states",
 ]
 
 _FAMILIES = {
@@ -27,40 +26,13 @@ _FAMILIES = {
 }
 
 
-def describe(model: DetDecModel, reachable_cap: int | None = None) -> dict:
+def describe(model: DetDecModel) -> dict:
     """Sizing report: exact counts where enumerable, formula bounds otherwise.
 
-    With ``reachable_cap`` set, also counts the states actually reachable
-    from the initial belief's support under any joint action sequence (the
-    formula bounds over-count configurations the dynamics can never visit).
+    The states actually reachable from the initial support are counted by
+    ``len(value_iteration(model, state_cap=...))``.
     """
-    report = model.sizing_report()
-    if reachable_cap is not None:
-        try:
-            report["reachable_state_count"] = count_reachable_states(model, reachable_cap)
-        except ResourceLimitError:
-            report["reachable_state_count"] = None
-            report["reachable_cap_exceeded"] = reachable_cap
-    return report
-
-
-def count_reachable_states(model: DetDecModel, cap: int) -> int:
-    seen = set(model.initial_belief().states)
-    frontier = list(seen)
-    actions = model.joint_actions()
-    step = model.transition_only
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for a in actions:
-                s2, _ = step(s, a)
-                if s2 not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError(f"reachable state count exceeds cap={cap}")
-                    seen.add(s2)
-                    nxt.append(s2)
-        frontier = nxt
-    return len(seen)
+    return model.sizing_report()
 
 
 def model_from_descriptor(doc: dict) -> DetDecModel:

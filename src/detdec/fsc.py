@@ -82,11 +82,6 @@ class Fsc:
         return f"Fsc({len(self.nodes)} nodes, initial={self.initial_node})"
 
 
-def fsc_size(fsc: Fsc) -> int:
-    """Node count of a controller."""
-    return fsc.size
-
-
 class JointPolicy:
     """One controller per agent."""
 
@@ -159,6 +154,11 @@ def _require(cond: bool, where: str, problem: str) -> None:
         raise PolicyFormatError(f"{where}: {problem}")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int: reject them explicitly
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def policy_from_dict(doc: dict) -> JointPolicy:
     _require(isinstance(doc, dict), "document", "expected a JSON object")
     agents = doc.get("agents")
@@ -170,17 +170,17 @@ def policy_from_dict(doc: dict) -> JointPolicy:
         nodes_doc = agent_doc.get("nodes")
         _require(isinstance(nodes_doc, list) and nodes_doc, f"{where}.nodes", "expected a non-empty list")
         initial = agent_doc.get("initial", 0)
-        _require(isinstance(initial, int) and 0 <= initial < len(nodes_doc),
+        _require(_is_int(initial) and 0 <= initial < len(nodes_doc),
                  f"{where}.initial", f"node index {initial!r} outside [0, {len(nodes_doc)})")
         nodes = []
         for ni, node_doc in enumerate(nodes_doc):
             nwhere = f"{where}.nodes[{ni}]"
             _require(isinstance(node_doc, dict), nwhere, "expected an object")
             action = node_doc.get("action")
-            _require(isinstance(action, int) and action >= 0, f"{nwhere}.action",
+            _require(_is_int(action) and action >= 0, f"{nwhere}.action",
                      f"expected a non-negative integer, got {action!r}")
             fallback = node_doc.get("fallback", ni)
-            _require(isinstance(fallback, int) and 0 <= fallback < len(nodes_doc),
+            _require(_is_int(fallback) and 0 <= fallback < len(nodes_doc),
                      f"{nwhere}.fallback", f"node index {fallback!r} outside [0, {len(nodes_doc)})")
             transitions: dict[int, int] = {}
             raw = node_doc.get("transitions", {})
@@ -192,7 +192,7 @@ def policy_from_dict(doc: dict) -> JointPolicy:
                 except (TypeError, ValueError):
                     raise PolicyFormatError(f"{twhere}: key is not an integer") from None
                 _require(obs >= 0, twhere, "observation must be non-negative")
-                _require(isinstance(target, int) and 0 <= target < len(nodes_doc),
+                _require(_is_int(target) and 0 <= target < len(nodes_doc),
                          twhere, f"target {target!r} outside [0, {len(nodes_doc)})")
                 transitions[obs] = target
             nodes.append(FscNode(action, transitions, fallback))

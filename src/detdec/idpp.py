@@ -6,8 +6,10 @@ pick the next agent round-robin, freeze everyone else, solve that agent's
 best-response problem, and *keep the new controller only if the exactly
 evaluated joint value improves* by more than the acceptance margin.  The
 loop stops after a full round with no accepted update, which certifies a
-Nash equilibrium up to the margin plus the subsolver's bound gap, or after
-a round cap.
+Nash equilibrium up to the margin plus the subsolver's bound gap unless a
+best-response call in that round hit a limit error, or after a round cap.
+Limit errors (``ResourceLimitError``, ``MissingStateError``) are recorded
+as ``error:<Name>`` iterations; any other exception propagates.
 
 Accept/converge decisions use exact evaluation (deterministic models make
 it cheap: one closed-form rollout per initial atom), never Monte Carlo, so
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 
 from .bestresponse import build_br_detpomdp, build_init_detpomdp
 from .detpomdp import SolveParams, solve
+from .errors import MissingStateError, ResourceLimitError
 from .evaluation import exact_value
 from .fsc import Fsc, JointPolicy
 from .mdp import DEFAULT_STATE_CAP, DEFAULT_TOL, MdpValueTable, default_policy, value_iteration
@@ -36,8 +39,6 @@ class IdppParams:
     seed: int = 0
     mdp_tol: float = DEFAULT_TOL
     state_cap: int = DEFAULT_STATE_CAP
-    eval_episodes: int = 100_000    # reporting only; decisions are exact
-    eval_horizon: int = 100
 
     def __post_init__(self) -> None:
         if self.value_tolerance <= 0:
@@ -88,7 +89,7 @@ class RunResult:
     history: list[IterationRecord]
     init: InitResult
     final_value: float
-    converged: bool           # a full round passed with no accepted update
+    converged: bool           # a full round passed with no accepted update and no error
     rounds_completed: int
     budget_hit: bool          # any solver call stopped on a budget
 
@@ -163,12 +164,15 @@ def run(
         if order_rng is not None:
             order_rng.shuffle(agents)
         accepted_this_round = False
+        errored_this_round = False
         for agent in agents:
             t0 = time.perf_counter()
             try:
                 problem = build_br_detpomdp(model, policy, agent, value_table=table, cache=cache)
                 result = solve(problem, problem.initial_belief(), params.solve)
-            except Exception as exc:  # keep the incumbent controller, note the failure
+            except (ResourceLimitError, MissingStateError) as exc:
+                # keep the incumbent controller; the failed call blocks `converged`
+                errored_this_round = True
                 history.append(
                     IterationRecord(
                         round=rnd,
@@ -205,7 +209,7 @@ def run(
                 value = post
                 accepted_this_round = True
         if not accepted_this_round:
-            converged = True
+            converged = not errored_this_round
             break
     return RunResult(
         policy=policy,

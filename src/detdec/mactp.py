@@ -146,6 +146,7 @@ class MactpModel(DetDecModel):
         self._weights = instance.weights
         self._goals = instance.goals
         self._n_edges = len(instance.stochastic)
+        self._bits_mask = (1 << self._n_edges) - 1
         self._pos_card = pos_code_card
         self._done_full = (1 << instance.agents) - 1
         self._state_card = pos_code_card << (self._n_edges + instance.agents)
@@ -177,37 +178,11 @@ class MactpModel(DetDecModel):
 
     def step(self, state, action):
         action = tuple(action)
-        self._check_state(state)
         self.check_action(action)
-        positions, bits, dones = self.unpack(state)
-        if dones == self._done_full:
-            return state, self._observe(positions, bits), 0.0
-        pos = list(positions)
-        reward = 0.0
-        for i in range(self.agent_count):
-            if dones >> i & 1:
-                continue
-            a = action[i]
-            if a == WAIT:
-                continue
-            mv = self._move[pos[i]][a]
-            if mv is None:
-                continue
-            target, eidx = mv
-            bit = self._stoch_bit.get(eidx)
-            if bit is not None and bits >> bit & 1:
-                continue
-            pos[i] = target
-            reward -= self._weights[eidx]
-        new_dones = dones
-        for i in range(self.agent_count):
-            if not (new_dones >> i & 1) and pos[i] == self._goals[i]:
-                new_dones |= 1 << i
-                reward += GOAL_REWARD
-        return self.pack(pos, bits, new_dones), self._observe(pos, bits), reward
+        s2, reward = self.transition_only(state, action)
+        return s2, self._observe(s2), reward
 
     def transition_only(self, state, action):
-        action = tuple(action)
         self._check_state(state)
         positions, bits, dones = self.unpack(state)
         if dones == self._done_full:
@@ -236,17 +211,16 @@ class MactpModel(DetDecModel):
                 reward += GOAL_REWARD
         return self.pack(pos, bits, new_dones), reward
 
-    def _observe(self, positions, bits: int) -> tuple[int, ...]:
-        code = 0
-        mult = 1
-        for v in positions:
-            code += (v - 1) * mult
-            mult *= self._m
+    def _observe(self, state: int) -> tuple[int, ...]:
+        """Joint observation of arriving in ``state``: its positions code plus incident bits."""
+        high, code = divmod(state, self._pos_card)
+        bits = high & self._bits_mask
         base = code * _OBS_MASK_RADIX
         obs = []
-        for i in range(self.agent_count):
+        for _ in range(self.agent_count):
+            code, p = divmod(code, self._m)
             mask = 0
-            for slot, bit in enumerate(self._incident[positions[i]]):
+            for slot, bit in enumerate(self._incident[p + 1]):
                 if bits >> bit & 1:
                     mask |= 1 << slot
             obs.append(base + mask)

@@ -48,16 +48,6 @@ class MdpValueTable:
     def __len__(self) -> int:
         return len(self.states)
 
-    def dump_json(self, path) -> None:
-        import json
-
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"gamma": self.gamma, "residual": self.residual,
-                 "values": {str(s): float(v) for s, v in zip(self.states, self.values)}},
-                fh,
-            )
-
 
 @dataclass
 class MdpPolicy:

@@ -1,8 +1,10 @@
 """Core abstraction: deterministic decentralized decision processes.
 
-Models are generative: dynamics are computed on demand by a pure ``step``
-function over packed integer states, never materialized as transition
-matrices (benchmark instances reach millions of states).  The only
+Models are generative: dynamics are computed on demand by pure functions
+over packed integer states, never materialized as transition matrices
+(benchmark instances reach millions of states).  ``transition_only`` holds
+the move rules; ``step`` adds the joint observation, which in both
+benchmarks is rendered from the successor state alone.  The only
 probabilistic object in the whole system is the initial belief, held as an
 explicit weighted support.
 """
@@ -124,6 +126,8 @@ class DetDecModel(abc.ABC):
       * ``step`` is a pure function: identical ``(state, action)`` always
         yields an identical ``(successor, joint observation, reward)``
         triple, and the instance holds no mutable internal state.
+      * ``transition_only`` returns the same ``(successor, reward)`` as
+        ``step``.
       * Terminal states are absorbing: ``step`` returns the same state with
         reward 0 under every joint action.
       * Uncertainty exists only in ``initial_belief``.
@@ -151,10 +155,11 @@ class DetDecModel(abc.ABC):
         """Inclusive bounds on the one-step reward over reachable (s, a)."""
 
     def transition_only(self, state: StateId, action: JointAction) -> tuple[StateId, float]:
-        """(successor, reward) without the observation.
+        """(successor, reward): the dynamics kernel.
 
-        Hot path for sweeps that never look at observations; environments
-        override it to skip observation rendering.
+        Environments implement their move rules here and build ``step`` on
+        it by rendering the observation of the successor.  This default
+        serves table-backed models whose ``step`` is the primary form.
         """
         s2, _, r = self.step(state, action)
         return s2, r

@@ -13,7 +13,6 @@ from detdec import (
     exact_belief_vi,
     exact_value,
     fsc_value_in,
-    initial_ext_belief,
     mactp_generate,
     MactpSpec,
     value_iteration,
@@ -46,7 +45,7 @@ class TestConstruction:
         m = mactp_generate(MactpSpec(3, 2, 5, seed=2))
         policy = random_joint_policy(m, SplitMix64(3))
         br = build_br_detpomdp(m, policy, 0)
-        b0 = initial_ext_belief(br)
+        b0 = br.initial_belief()
         assert len(b0) == len(m.initial_belief()) == 32
         for (eid, w), (s, ws) in zip(b0.atoms, m.initial_belief().atoms):
             ext = br.ext(eid)

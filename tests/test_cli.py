@@ -197,3 +197,16 @@ class TestBench:
                 return [(r["kind"], r["seed"], r["exact_value"]) for r in csv.DictReader(fh)]
 
         assert values(out_seq) == values(out_par)
+
+    def test_failed_cells_are_rows_for_any_worker_count(self, tmp_path):
+        inst = _gen_instance(tmp_path, edges=2)
+        args = ["bench", "--instance", str(inst), "--algos", "idpp,init-only", "--seeds", "2",
+                "--state-cap", "10"]
+        out_seq, out_par = tmp_path / "seq.csv", tmp_path / "par.csv"
+        assert main([*args, "--out", str(out_seq), "--workers", "1"]) == EXIT_OK
+        assert main([*args, "--out", str(out_par), "--workers", "2"]) == EXIT_OK
+        with open(out_seq) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(r["converged"] == "error:ResourceLimitError" for r in rows)
+        assert out_seq.read_text() == out_par.read_text()

@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from detdec import CollectingInstance, CollectingModel, CollectingSpec, collecting_generate
+from detdec import (
+    CollectingInstance,
+    CollectingModel,
+    CollectingSpec,
+    ResourceLimitError,
+    collecting_generate,
+    value_iteration,
+)
 from detdec.collecting import AGENT_CODE, BOX_CODE, GOAL_CODE, WALL_CODE, WAIT
 from detdec.envs import describe, descriptor_text, model_from_descriptor
 from detdec.rng import SplitMix64
@@ -33,14 +40,13 @@ class TestBeliefSupport:
     def test_reachable_count_below_formula_bound(self):
         # the formula bound over-counts configurations the dynamics never visit
         m = tiny_collecting()
-        report = describe(m, reachable_cap=10_000)
-        assert 0 < report["reachable_state_count"] <= report["env_state_bound"]
+        reachable = len(value_iteration(m, state_cap=10_000))
+        assert 0 < reachable <= describe(m)["env_state_bound"]
 
     def test_reachable_cap_reported_when_exceeded(self):
         m = collecting_generate(CollectingSpec(4, 3, 2, 2, seed=7))
-        report = describe(m, reachable_cap=50)
-        assert report["reachable_state_count"] is None
-        assert report["reachable_cap_exceeded"] == 50
+        with pytest.raises(ResourceLimitError, match="state_cap=50"):
+            value_iteration(m, state_cap=50)
 
 
 class TestDynamics:

@@ -15,7 +15,6 @@ from detdec import (
     default_policy,
     exact_belief_vi,
     fsc_value_in,
-    lower_bound,
     mactp_generate,
     MactpSpec,
     solve,
@@ -140,13 +139,13 @@ class TestBounds:
         m = mactp_generate(MactpSpec(2, 2, 2, seed=3))
         prob = _init_problem(m)
         b0 = prob.initial_belief()
-        assert lower_bound(b0, prob) <= upper_bound(b0, prob) + 1e-9
+        assert best_fixed_action(b0, prob)[0] <= upper_bound(b0, prob) + 1e-9
 
     def test_zero_reward_model_bounds_zero(self):
         prob = _zero_reward_problem()
         b0 = prob.initial_belief()
         assert upper_bound(b0, prob) == 0.0
-        assert lower_bound(b0, prob) == 0.0
+        assert best_fixed_action(b0, prob)[0] == 0.0
 
     def test_best_fixed_action_is_achievable(self):
         m = tiny_mactp(agents=1, probs=(Fraction(1, 2),))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from detdec import Fsc, FscNode, JointPolicy, PolicyFormatError, deserialize, fsc_size, serialize
+from detdec import Fsc, FscNode, JointPolicy, PolicyFormatError, deserialize, serialize
 
 
 class TestActAdvance:
@@ -49,7 +49,7 @@ class TestActAdvance:
 
 class TestSize:
     def test_single_node(self):
-        assert fsc_size(Fsc([FscNode(0)])) == 1
+        assert Fsc([FscNode(0)]).size == 1
 
     def test_size_preserved_by_roundtrip(self):
         p = JointPolicy([Fsc([FscNode(1, {3: 1}), FscNode(0)], 1)])
@@ -90,15 +90,22 @@ class TestSerialization:
             deserialize(doc)
 
     def test_bad_initial_named(self):
-        doc = '{"agents": [{"initial": 4, "nodes": [{"action": 0, "fallback": 0, "transitions": {}}]}]}'
-        with pytest.raises(PolicyFormatError, match=r"agents\[0\].initial"):
-            deserialize(doc)
+        for doc in (
+            '{"agents": [{"initial": 4, "nodes": [{"action": 0, "fallback": 0, "transitions": {}}]}]}',
+            # JSON booleans are not node indices or actions
+            '{"agents": [{"initial": false, "nodes": [{"action": true, "fallback": false}]}]}',
+        ):
+            with pytest.raises(PolicyFormatError, match=r"agents\[0\].initial"):
+                deserialize(doc)
 
     def test_invalid_json(self):
         with pytest.raises(PolicyFormatError, match="invalid JSON"):
             deserialize("{nope")
 
     def test_missing_action_named(self):
-        doc = '{"agents": [{"initial": 0, "nodes": [{"fallback": 0, "transitions": {}}]}]}'
-        with pytest.raises(PolicyFormatError, match=r"agents\[0\].nodes\[0\].action"):
-            deserialize(doc)
+        for doc in (
+            '{"agents": [{"initial": 0, "nodes": [{"fallback": 0, "transitions": {}}]}]}',
+            '{"agents": [{"initial": 0, "nodes": [{"action": true, "fallback": 0}]}]}',
+        ):
+            with pytest.raises(PolicyFormatError, match=r"agents\[0\].nodes\[0\].action"):
+                deserialize(doc)

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import detdec.idpp as idpp_module
 from detdec import (
     IdppParams,
+    ResourceLimitError,
     SolveParams,
     build_init_detpomdp,
     default_policy,
@@ -17,6 +19,7 @@ from detdec import (
     solve,
     value_iteration,
 )
+from detdec.cli import EXIT_BUDGET, EXIT_OK, main
 from detdec.fsc import Fsc, FscNode
 
 from helpers import tiny_mactp
@@ -138,3 +141,44 @@ class TestNashCheck:
             if found:
                 break
         assert found, "no on-path action flip lowered the joint value"
+
+
+class TestSolveFailures:
+    """Best-response calls that raise after the init solves."""
+
+    @staticmethod
+    def _fail_after_init(monkeypatch, exc, agents=2):
+        real_solve = idpp_module.solve
+        calls = []
+
+        def solve_then_fail(problem, belief, params):
+            calls.append(problem.agent)
+            if len(calls) <= agents:  # the heuristic-init solves, one per agent
+                return real_solve(problem, belief, params)
+            raise exc
+
+        monkeypatch.setattr(idpp_module, "solve", solve_then_fail)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        m = mactp_generate(MactpSpec(3, 2, 5, seed=42))
+        self._fail_after_init(monkeypatch, TypeError("injected"))
+        with pytest.raises(TypeError, match="injected"):
+            run(m, FAST)
+
+    def test_limit_error_blocks_convergence(self, monkeypatch):
+        m = mactp_generate(MactpSpec(3, 2, 5, seed=42))
+        self._fail_after_init(monkeypatch, ResourceLimitError("injected cap"))
+        result = run(m, FAST)
+        assert not result.converged
+        assert result.history
+        assert all(r.solver_status == "error:ResourceLimitError" for r in result.history)
+        assert result.final_value == result.init_value
+
+    def test_limit_error_exits_with_budget_code(self, monkeypatch, tmp_path):
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "mactp", "--n", "3", "--agents", "2", "--edges", "3",
+                     "--seed", "42", "--out", str(inst)]) == EXIT_OK
+        self._fail_after_init(monkeypatch, ResourceLimitError("injected cap"))
+        code = main(["solve", str(inst), "--out", str(tmp_path / "run"),
+                     "--node-budget", "1500", "--max-rounds", "3", "--episodes", "0"])
+        assert code == EXIT_BUDGET

@@ -1,12 +1,36 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from detdec import SupportBelief, TransitionCache, enumerate_joint_actions
+from detdec import (
+    CollectingSpec,
+    MactpSpec,
+    SupportBelief,
+    TransitionCache,
+    collecting_generate,
+    enumerate_joint_actions,
+    mactp_generate,
+    value_iteration,
+)
 from detdec.model import joint_action_index
 
 from helpers import absorbing_model, chain_model, selfloop_model
+
+
+def _small_benchmark_models():
+    return (
+        mactp_generate(MactpSpec(3, 2, 4, seed=3)),
+        collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3)),
+    )
+
+
+def _reachable_pairs(model):
+    """Every (state, joint action) reachable from the initial support, in sorted order."""
+    for s in sorted(value_iteration(model).states):
+        for a in model.joint_actions():
+            yield s, a
 
 
 class TestSupportBelief:
@@ -96,6 +120,10 @@ class TestModelContract:
             for a in ((0,), (1,), (2,)):
                 s2, obs, r = m.step(s, a)
                 assert m.transition_only(s, a) == (s2, r)
+        for m in _small_benchmark_models():
+            for s, a in _reachable_pairs(m):
+                s2, obs, r = m.step(s, a)
+                assert m.transition_only(s, a) == (s2, r)
 
     def test_transition_cache(self):
         m = chain_model()
@@ -103,3 +131,25 @@ class TestModelContract:
         assert cache.step(0, (1,)) == m.step(0, (1,))
         assert cache.step(0, (1,)) == m.step(0, (1,))
         assert len(cache) == 1
+
+
+class TestPinnedDynamics:
+    """SHA-256 of ``repr((s, a, step(s, a)))`` over every reachable (s, a).
+
+    The pinned digests make any change to the successors, observations or
+    rewards of either benchmark fail this test.
+    """
+
+    DIGESTS = (
+        (20125, "4e2c7bc4a8e4f37a0d3f59ccac4cd2736dd367a52bbd5df96e5d10ed67e8b06f"),  # mactp 3-2-4
+        (7725, "51e621f3af95a1de5b05b3fe2a33641304c05962fceeab5e37145a270a9e0fc0"),  # collecting 3x3 a2 b1
+    )
+
+    def test_step_digest(self):
+        for model, expected in zip(_small_benchmark_models(), self.DIGESTS):
+            h = hashlib.sha256()
+            count = 0
+            for s, a in _reachable_pairs(model):
+                h.update(repr((s, a, model.step(s, a))).encode())
+                count += 1
+            assert (count, h.hexdigest()) == expected
