@@ -17,7 +17,7 @@ from .detpomdp import (
     solve,
     upper_bound,
 )
-from .errors import MissingStateError, PolicyFormatError, ResourceLimitError
+from .errors import InstanceFormatError, MissingStateError, PolicyFormatError, ResourceLimitError
 from .evaluation import EvalReport, evaluate, exact_value, mc_value
 from .fsc import Fsc, FscNode, JointPolicy, deserialize, serialize
 from .idpp import IdppParams, InitResult, IterationRecord, RunResult, heuristic_init, nash_check, run
@@ -38,7 +38,7 @@ __all__ = [
     "CollectingInstance", "CollectingModel", "CollectingSpec", "collecting_generate",
     "SolveParams", "SolveResult", "belief_successors", "best_fixed_action",
     "exact_belief_vi", "fsc_value_in", "solve", "upper_bound",
-    "MissingStateError", "PolicyFormatError", "ResourceLimitError",
+    "InstanceFormatError", "MissingStateError", "PolicyFormatError", "ResourceLimitError",
     "EvalReport", "evaluate", "exact_value", "mc_value",
     "Fsc", "FscNode", "JointPolicy", "deserialize", "serialize",
     "IdppParams", "InitResult", "IterationRecord", "RunResult",

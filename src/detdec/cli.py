@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import envs, idpp
 from .detpomdp import SolveParams
-from .errors import MissingStateError, PolicyFormatError, ResourceLimitError
+from .errors import InstanceFormatError, MissingStateError, PolicyFormatError, ResourceLimitError
 from .evaluation import evaluate
 from .fsc import JointPolicy, deserialize, serialize
 from .idpp import IdppParams
@@ -37,7 +37,9 @@ EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
 # errors that are the user's input or budget, not a bug: exit 1 with a message
-USER_ERRORS = (OSError, ValueError, MissingStateError, PolicyFormatError, ResourceLimitError)
+USER_ERRORS = (
+    OSError, ValueError, MissingStateError, InstanceFormatError, PolicyFormatError, ResourceLimitError,
+)
 
 HISTORY_COLUMNS = ["round", "agent", "pre_value", "post_value", "accepted", "solver_nodes", "seconds"]
 

@@ -32,8 +32,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PolicyFormatError
-from .model import DetDecModel, SupportBelief
+import numpy as np
+
+from .descriptor import check_header, float_field, int_field, int_list, optional_int
+from .model import DetDecModel, SupportBelief, checked_state_ids
 from .rng import PRNG_NAME, stream
 
 UP, RIGHT, DOWN, LEFT, WAIT = range(5)
@@ -155,6 +157,9 @@ class CollectingModel(DetDecModel):
         self._agents_card = self._agent_radix ** instance.agents
         self._flags_full = (1 << instance.boxes) - 1
         self._state_card = (self._agents_card << self._C) << instance.boxes
+        # transition_batch lookup arrays, built on first use; set here so that
+        # filling it keeps the instance's attribute layout (and scalar step speed)
+        self._batch: tuple[np.ndarray, ...] | None = None
 
     # --- packing ---------------------------------------------------------
 
@@ -218,6 +223,59 @@ class CollectingModel(DetDecModel):
                     boxmask &= ~(1 << f)
                     carries[i] = 1
         return self.pack(cells, carries, boxmask, flags), reward
+
+    def _build_batch_tables(self) -> tuple[np.ndarray, ...]:
+        """Per free index and action, the free index moved to (-1: WAIT, wall or
+        obstacle); per free index, its goal's flag bit (0 off goals); joint actions."""
+        target = np.full((self._C, ACTION_COUNT), -1, dtype=np.int64)
+        for f, cell in enumerate(self._free):
+            for a, delta in enumerate(self._delta):
+                target[f, a] = self._fidx.get(cell + delta, -1)
+        goal_bit = np.array(
+            [1 << self._goal_slot[cell] if cell in self._goal_slot else 0 for cell in self._free],
+            dtype=np.int64,
+        )
+        joint = np.array(self.joint_actions(), dtype=np.int64).T  # (agents, joint actions)
+        return target, goal_bit, joint
+
+    def transition_batch(self, states):
+        states = checked_state_ids(states, self._state_card)
+        if self._batch is None:
+            self._batch = self._build_batch_tables()
+        target, goal_bit, joint = self._batch
+        n_flags = self._flags_full + 1
+        high, flags = np.divmod(states[:, None], n_flags)
+        code, boxmask = np.divmod(high, 1 << self._C)
+        fidx, carry = [], []
+        for _ in range(self.agent_count):
+            code, agent_slot = np.divmod(code, self._agent_radix)
+            fidx.append(agent_slot >> 1)
+            carry.append(agent_slot & 1)
+        # agents in order, as in transition_only, each seeing the cells of
+        # the agents that moved before it
+        reward = np.zeros((len(states), joint.shape[1]))
+        for i in range(self.agent_count):
+            to = target[fidx[i], joint[i]]
+            moves = to >= 0
+            for j in range(self.agent_count):
+                if j != i:
+                    moves &= to != fidx[j]
+            to = np.where(moves, to, fidx[i])
+            bit = goal_bit[to]
+            delivers = moves & (carry[i] == 1) & (bit != 0) & (flags & bit == 0)
+            picks = moves & (carry[i] == 0) & (boxmask >> to & 1 == 1)
+            flags = flags | np.where(delivers, bit, 0)
+            boxmask = boxmask & ~np.where(picks, 1 << to, 0)
+            reward += np.where(delivers, DELIVERY_REWARD, 0.0)
+            carry[i] = np.where(delivers, 0, np.where(picks, 1, carry[i]))
+            fidx[i] = to
+        new_code = 0
+        for i in range(self.agent_count):
+            new_code = new_code + (fidx[i] * 2 + carry[i]) * self._agent_radix**i
+        succ = ((new_code << self._C) | boxmask) * n_flags + flags
+        # every goal filled: absorbing at reward 0
+        done = states[:, None] % n_flags == self._flags_full
+        return np.where(done, states[:, None], succ), np.where(done, 0.0, reward)
 
     def _observe(self, state: int) -> tuple[int, ...]:
         """Joint observation of arriving in ``state``: each agent's rendered 3x3 patch."""
@@ -300,21 +358,19 @@ class CollectingModel(DetDecModel):
 
     @classmethod
     def from_descriptor(cls, doc: dict) -> "CollectingModel":
-        try:
-            inst = CollectingInstance(
-                height=int(doc["height"]),
-                width=int(doc["width"]),
-                agents=int(doc["agents"]),
-                boxes=int(doc["boxes"]),
-                obstacles=tuple(int(c) for c in doc["obstacles"]),
-                goals=tuple(int(c) for c in doc["goals"]),
-                start_cells=tuple(int(c) for c in doc["start_cells"]),
-                box_domain=tuple(int(c) for c in doc["box_domain"]),
-                gamma=float(doc.get("gamma", 0.95)),
-                seed=doc.get("seed"),
-            )
-        except KeyError as exc:
-            raise PolicyFormatError(f"instance descriptor: missing field {exc.args[0]!r}") from None
+        check_header(doc, "collecting")
+        inst = CollectingInstance(
+            height=int_field(doc, "height"),
+            width=int_field(doc, "width"),
+            agents=int_field(doc, "agents"),
+            boxes=int_field(doc, "boxes"),
+            obstacles=int_list(doc, "obstacles"),
+            goals=int_list(doc, "goals"),
+            start_cells=int_list(doc, "start_cells"),
+            box_domain=int_list(doc, "box_domain"),
+            gamma=float_field(doc, "gamma", 0.95),
+            seed=optional_int(doc, "seed"),
+        )
         return cls(inst)
 
 

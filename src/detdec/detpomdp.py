@@ -484,7 +484,10 @@ class _Search:
                 best_fsc = fsc
             elif not improved_bounds:
                 break
-        assert best_fsc is not None
+        if best_fsc is None:  # no root value exceeded -inf: each was NaN or -inf
+            raise FloatingPointError(
+                f"extracted controller has non-finite root value {v_root!r}; no lower bound to certify"
+            )
         return best_fsc, best_v
 
     # --- main loop -------------------------------------------------------------

@@ -5,7 +5,8 @@ import json
 from pathlib import Path
 
 from .collecting import CollectingModel, CollectingSpec, collecting_generate
-from .errors import PolicyFormatError
+from .descriptor import require_object
+from .errors import InstanceFormatError
 from .mactp import MactpModel, MactpSpec, mactp_generate
 from .model import DetDecModel
 
@@ -36,10 +37,11 @@ def describe(model: DetDecModel) -> dict:
 
 
 def model_from_descriptor(doc: dict) -> DetDecModel:
-    family = doc.get("family")
-    builder = _FAMILIES.get(family)
+    """Rebuild an instance; ``InstanceFormatError`` names the first bad field."""
+    family = require_object(doc).get("family")
+    builder = _FAMILIES.get(family) if isinstance(family, str) else None
     if builder is None:
-        raise PolicyFormatError(
+        raise InstanceFormatError(
             f"instance descriptor: unknown family {family!r} (expected one of {sorted(_FAMILIES)})"
         )
     return builder(doc)
@@ -50,7 +52,7 @@ def load_model(path: str | Path) -> DetDecModel:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise PolicyFormatError(f"instance descriptor {path}: invalid JSON ({exc})") from None
+            raise InstanceFormatError(f"instance descriptor {path}: invalid JSON ({exc})") from None
     return model_from_descriptor(doc)
 
 

@@ -11,3 +11,7 @@ class MissingStateError(LookupError):
 
 class PolicyFormatError(ValueError):
     """A policy document failed validation; the message names the offending field."""
+
+
+class InstanceFormatError(ValueError):
+    """An instance descriptor failed validation; the message names the offending field."""

@@ -28,8 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PolicyFormatError
-from .model import DetDecModel, SupportBelief
+import numpy as np
+
+from .descriptor import check_header, float_field, fraction_list, int_field, int_list, optional_int
+from .model import DetDecModel, SupportBelief, checked_state_ids
 from .rng import PRNG_NAME, stream
 
 UP, RIGHT, DOWN, LEFT, WAIT = range(5)
@@ -150,6 +152,9 @@ class MactpModel(DetDecModel):
         self._pos_card = pos_code_card
         self._done_full = (1 << instance.agents) - 1
         self._state_card = pos_code_card << (self._n_edges + instance.agents)
+        # transition_batch lookup arrays, built on first use; set here so that
+        # filling it keeps the instance's attribute layout (and scalar step speed)
+        self._batch: tuple[np.ndarray, ...] | None = None
 
     # --- packing ---------------------------------------------------------
 
@@ -210,6 +215,54 @@ class MactpModel(DetDecModel):
                 new_dones |= 1 << i
                 reward += GOAL_REWARD
         return self.pack(pos, bits, new_dones), reward
+
+    def _build_batch_tables(self) -> tuple[np.ndarray, ...]:
+        """Per (vertex - 1, action): move target - 1, edge weight, blocking bit; joint actions.
+
+        WAIT and missing edges stay put at weight 0; a deterministic edge has
+        blocking bit 0, so ``bits & bit`` is non-zero exactly when blocked.
+        """
+        m = self._m
+        target = np.repeat(np.arange(m, dtype=np.int64)[:, None], ACTION_COUNT, axis=1)
+        weight = np.zeros((m, ACTION_COUNT), dtype=np.int64)
+        block_bit = np.zeros((m, ACTION_COUNT), dtype=np.int64)
+        for v in range(1, m + 1):
+            for a, mv in enumerate(self._move[v]):
+                if mv is not None:
+                    target[v - 1, a] = mv[0] - 1
+                    weight[v - 1, a] = self._weights[mv[1]]
+                    bit = self._stoch_bit.get(mv[1])
+                    if bit is not None:
+                        block_bit[v - 1, a] = 1 << bit
+        joint = np.array(self.joint_actions(), dtype=np.int64).T  # (agents, joint actions)
+        return target, weight, block_bit, joint
+
+    def transition_batch(self, states):
+        states = checked_state_ids(states, self._state_card)
+        if self._batch is None:
+            self._batch = self._build_batch_tables()
+        target, weight, block_bit, joint = self._batch
+        high, code = np.divmod(states, self._pos_card)
+        bits = (high & self._bits_mask)[:, None]
+        dones = (high >> self._n_edges)[:, None]
+        # agents in order, as in transition_only; arrived agents are frozen,
+        # so an all-arrived state stays put at reward 0
+        reward = np.zeros((len(states), joint.shape[1]))
+        new_dones = dones
+        new_code = 0
+        for i in range(self.agent_count):
+            code, p = np.divmod(code, self._m)
+            p = p[:, None]
+            a = joint[i]
+            active = (dones >> i & 1) == 0
+            moves = active & ((bits & block_bit[p, a]) == 0)
+            reward -= np.where(moves, weight[p, a], 0)
+            p = np.where(moves, target[p, a], p)
+            arrives = active & (p == self._goals[i] - 1)
+            reward += np.where(arrives, GOAL_REWARD, 0.0)
+            new_dones = new_dones | arrives.astype(np.int64) << i
+            new_code = new_code + p * self._m**i
+        return ((new_dones << self._n_edges) | bits) * self._pos_card + new_code, reward
 
     def _observe(self, state: int) -> tuple[int, ...]:
         """Joint observation of arriving in ``state``: its positions code plus incident bits."""
@@ -281,20 +334,18 @@ class MactpModel(DetDecModel):
 
     @classmethod
     def from_descriptor(cls, doc: dict) -> "MactpModel":
-        try:
-            inst = MactpInstance(
-                grid_size=int(doc["grid_size"]),
-                agents=int(doc["agents"]),
-                weights=tuple(int(w) for w in doc["weights"]),
-                stochastic=tuple(int(e) for e in doc["stochastic"]),
-                block_probs=tuple(Fraction(p) for p in doc["block_probs"]),
-                goals=tuple(int(g) for g in doc["goals"]),
-                starts=tuple(int(s) for s in doc["starts"]),
-                gamma=float(doc.get("gamma", 0.95)),
-                seed=doc.get("seed"),
-            )
-        except KeyError as exc:
-            raise PolicyFormatError(f"instance descriptor: missing field {exc.args[0]!r}") from None
+        check_header(doc, "mactp")
+        inst = MactpInstance(
+            grid_size=int_field(doc, "grid_size"),
+            agents=int_field(doc, "agents"),
+            weights=int_list(doc, "weights"),
+            stochastic=int_list(doc, "stochastic"),
+            block_probs=fraction_list(doc, "block_probs"),
+            goals=int_list(doc, "goals"),
+            starts=int_list(doc, "starts"),
+            gamma=float_field(doc, "gamma", 0.95),
+            seed=optional_int(doc, "seed"),
+        )
         return cls(inst)
 
 

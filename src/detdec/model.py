@@ -4,9 +4,11 @@ Models are generative: dynamics are computed on demand by pure functions
 over packed integer states, never materialized as transition matrices
 (benchmark instances reach millions of states).  ``transition_only`` holds
 the move rules; ``step`` adds the joint observation, which in both
-benchmarks is rendered from the successor state alone.  The only
-probabilistic object in the whole system is the initial belief, held as an
-explicit weighted support.
+benchmarks is rendered from the successor state alone.
+``transition_batch`` is the same dynamics over an array of states and
+every joint action at once, for the relaxation's reachability pass.  The
+only probabilistic object in the whole system is the initial belief, held
+as an explicit weighted support.
 """
 from __future__ import annotations
 
@@ -16,11 +18,37 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
+from .errors import ResourceLimitError
+
 StateId = int
 JointAction = tuple[int, ...]
 JointObservation = tuple[int, ...]
 
 _SUM_TOL = Fraction(1, 10**9)
+
+
+def require_int64_state_ids(max_id: int) -> None:
+    """Raise ``ResourceLimitError`` if state ids up to ``max_id`` do not fit in int64."""
+    if max_id > 2**63 - 1:
+        raise ResourceLimitError(
+            f"state ids reach {max_id}, beyond the int64 state-id bound 2**63 - 1 "
+            "of the batched dynamics"
+        )
+
+
+def checked_state_ids(states, state_card: int) -> np.ndarray:
+    """``states`` as an int64 array, each checked to lie in ``[0, state_card)``.
+
+    The entry guard of the environments' ``transition_batch``: it raises
+    before any work when the model's ids could wrap in int64 arithmetic.
+    """
+    require_int64_state_ids(state_card - 1)
+    states = np.asarray(states, dtype=np.int64)
+    if states.size and not (0 <= states.min() and states.max() < state_card):
+        raise ValueError(f"state ids outside [0, {state_card})")
+    return states
 
 
 class SupportBelief:
@@ -128,6 +156,9 @@ class DetDecModel(abc.ABC):
         triple, and the instance holds no mutable internal state.
       * ``transition_only`` returns the same ``(successor, reward)`` as
         ``step``.
+      * ``transition_batch`` equals ``transition_only`` row by row: entry
+        ``[r, j]`` of its two tables is ``transition_only(states[r], a_j)``
+        for the ``j``-th joint action in ``joint_actions()`` order.
       * Terminal states are absorbing: ``step`` returns the same state with
         reward 0 under every joint action.
       * Uncertainty exists only in ``initial_belief``.
@@ -163,6 +194,20 @@ class DetDecModel(abc.ABC):
         """
         s2, _, r = self.step(state, action)
         return s2, r
+
+    def transition_batch(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(successors int64, rewards float64), both ``(len(states), num_joint_actions)``.
+
+        Columns follow the joint action index.  Environments override this
+        with array code; this default loops over ``transition_only``.
+        """
+        joint = self.joint_actions()
+        succ = np.empty((len(states), len(joint)), dtype=np.int64)
+        rewards = np.empty(succ.shape)
+        for row, s in enumerate(np.asarray(states).tolist()):
+            for col, a in enumerate(joint):
+                succ[row, col], rewards[row, col] = self.transition_only(s, a)
+        return succ, rewards
 
     def descriptor(self) -> dict:
         """JSON-serializable document the instance can be rebuilt from."""

@@ -109,6 +109,15 @@ class TestSolve:
     def test_missing_instance_is_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == EXIT_ERROR
 
+    def test_bad_descriptor_is_user_error(self, tmp_path, capsys):
+        inst = _gen_instance(tmp_path)
+        doc = json.loads(inst.read_text())
+        for bad in ({**doc, "weights": 5}, {**doc, "format": 99}, [doc]):
+            inst.write_text(json.dumps(bad))
+            code = main(["solve", str(inst), "--out", str(tmp_path / "o")])
+            assert code == EXIT_ERROR
+            assert "instance descriptor" in capsys.readouterr().err
+
     def test_state_cap_violation_is_error(self, tmp_path, capsys):
         inst = _gen_instance(tmp_path)
         code = main(["solve", str(inst), "--out", str(tmp_path / "o"), "--state-cap", "10"])

@@ -6,6 +6,7 @@ from detdec import (
     CollectingInstance,
     CollectingModel,
     CollectingSpec,
+    InstanceFormatError,
     ResourceLimitError,
     collecting_generate,
     value_iteration,
@@ -175,6 +176,19 @@ class TestDescriptor:
         m = collecting_generate(CollectingSpec(4, 3, 2, 2, seed=7))
         m2 = model_from_descriptor(m.descriptor())
         assert m2.instance == m.instance
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("format", 99), ("prng", "mt"), ("family", "mactp"), ("agents", True),
+            ("boxes", 2.0), ("obstacles", 5), ("box_domain", [True]), ("gamma", "0.9"),
+        ],
+    )
+    def test_bad_field_is_named(self, field, value):
+        doc = collecting_generate(CollectingSpec(4, 3, 2, 2, seed=7)).descriptor()
+        doc[field] = value
+        with pytest.raises(InstanceFormatError, match=repr(field)):
+            CollectingModel.from_descriptor(doc)
 
     def test_groups_disjoint(self):
         m = collecting_generate(CollectingSpec(4, 4, 2, 3, seed=11))

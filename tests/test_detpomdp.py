@@ -195,6 +195,13 @@ class TestSolve:
         assert res.converged
         assert res.lower_bound == pytest.approx(target, abs=1e-4 + 1e-6)
 
+    @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+    def test_non_finite_root_value_is_an_error(self, monkeypatch, bad):
+        prob = _init_problem(tiny_mactp(agents=1, probs=()))
+        monkeypatch.setattr("detdec.detpomdp.fsc_value_in", lambda *args: bad)
+        with pytest.raises(FloatingPointError, match=f"non-finite root value {bad!r}"):
+            solve(prob, prob.initial_belief(), SolveParams(epsilon=1e-4))
+
     def test_zero_reward_trivial(self):
         prob = _zero_reward_problem()
         res = solve(prob, prob.initial_belief(), SolveParams(epsilon=1e-6))

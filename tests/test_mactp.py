@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from detdec import MactpInstance, MactpModel, MactpSpec, mactp_generate
+from detdec import InstanceFormatError, MactpInstance, MactpModel, MactpSpec, mactp_generate
 from detdec.envs import describe, descriptor_text, model_from_descriptor
 from detdec.mactp import WAIT, grid_edges
 from detdec.rng import SplitMix64
@@ -170,6 +170,33 @@ class TestDescriptor:
         assert m2.instance == m.instance
         s0 = m.initial_belief().states[3]
         assert m.step(s0, (1, 2)) == m2.step(s0, (1, 2))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("format", 99), ("format", True), ("prng", "mt"),
+            ("agents", True), ("grid_size", "3"), ("weights", 5), ("goals", [9, False]),
+            ("block_probs", ["1/0"]), ("block_probs", [True]), ("gamma", True), ("seed", 1.5),
+        ],
+    )
+    def test_bad_field_is_named(self, field, value):
+        doc = mactp_generate(MactpSpec(3, 2, 2, seed=42)).descriptor()
+        doc[field] = value
+        with pytest.raises(InstanceFormatError, match=repr(field)):
+            MactpModel.from_descriptor(doc)
+        with pytest.raises(InstanceFormatError, match=repr(field)):
+            model_from_descriptor(doc)
+
+    def test_missing_field_is_named(self):
+        doc = mactp_generate(MactpSpec(3, 2, 2, seed=42)).descriptor()
+        del doc["starts"]
+        with pytest.raises(InstanceFormatError, match="'starts'"):
+            model_from_descriptor(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "mactp", None, {"family": ["mactp"]}])
+    def test_non_object_or_unknown_family(self, doc):
+        with pytest.raises(InstanceFormatError, match="JSON object|unknown family"):
+            model_from_descriptor(doc)
 
 
 class TestValidation:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from detdec import (
+    CollectingSpec,
     MissingStateError,
     ResourceLimitError,
     SupportBelief,
     TabularModel,
+    collecting_generate,
     default_policy,
     mactp_generate,
     MactpSpec,
@@ -63,6 +65,19 @@ class TestValueIteration:
         for s, v in oracle.items():
             assert table.value(s) == pytest.approx(v, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "model",
+        [mactp_generate(MactpSpec(3, 2, 2, seed=4)), collecting_generate(CollectingSpec(2, 3, 2, 1, seed=1))],
+        ids=["mactp-3-2-2", "collecting-2x3-a2-b1"],
+    )
+    def test_benchmark_matches_hand_bellman(self, model):
+        oracle = hand_bellman(model)
+        table = value_iteration(model, tol=1e-9)
+        assert sorted(table.states) == sorted(oracle)
+        assert max(oracle.values()) > 0  # goals or deliveries are reached
+        for s, v in oracle.items():
+            assert table.value(s) == pytest.approx(v, abs=1e-6)
+
     def test_mactp_residual_invariant(self):
         m = mactp_generate(MactpSpec(3, 2, 3, seed=4))
         tol = 1e-6
@@ -85,6 +100,14 @@ class TestValueIteration:
         m = mactp_generate(MactpSpec(3, 2, 3, seed=4))
         with pytest.raises(ResourceLimitError, match="state_cap=10"):
             value_iteration(m, state_cap=10)
+
+    def test_state_ids_beyond_int64(self):
+        # 10^4 vertices, 5 agents: ids reach 3.2e21 from one atom under 3,125 joint actions
+        m = mactp_generate(MactpSpec(100, 5, 0, 0))
+        with pytest.raises(ResourceLimitError, match="int64 state-id bound"):
+            value_iteration(m)
+        with pytest.raises(ResourceLimitError, match="int64 state-id bound"):
+            m.transition_batch(np.array([0]))
 
     def test_missing_state(self):
         table = value_iteration(selfloop_model())

@@ -1,8 +1,9 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from detdec import (
     CollectingSpec,
@@ -14,6 +15,7 @@ from detdec import (
     mactp_generate,
     value_iteration,
 )
+from detdec.mactp import grid_edges
 from detdec.model import joint_action_index
 
 from helpers import absorbing_model, chain_model, selfloop_model
@@ -24,6 +26,52 @@ def _small_benchmark_models():
         mactp_generate(MactpSpec(3, 2, 4, seed=3)),
         collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3)),
     )
+
+
+def _assert_batch_matches_scalar(model, states):
+    """``transition_batch`` row by row against ``transition_only`` in joint-index order."""
+    succ, rewards = model.transition_batch(np.array(states, dtype=np.int64))
+    assert succ.dtype == np.int64 and rewards.dtype == np.float64
+    assert succ.shape == rewards.shape == (len(states), model.num_joint_actions)
+    for row, s in enumerate(states):
+        for col, a in enumerate(model.joint_actions()):
+            assert (int(succ[row, col]), float(rewards[row, col])) == model.transition_only(s, a)
+
+
+MACTP, COLLECTING = _small_benchmark_models()  # property-test instances
+# an endpoint of the first stochastic edge, for an agent facing it while it is blocked
+_EDGE_END = grid_edges(3)[MACTP.instance.stochastic[0]][0]
+_COLS = COLLECTING.instance.width + 2
+_FREE = tuple(
+    r * _COLS + c
+    for r in range(1, COLLECTING.instance.height + 1)
+    for c in range(1, COLLECTING.instance.width + 1)
+    if r * _COLS + c not in COLLECTING.instance.obstacles
+)
+# two free cells side by side, for agents that move into each other
+_PAIR = next((a, a + 1) for a in _FREE if a + 1 in _FREE)
+
+_mactp_states = st.lists(
+    st.builds(
+        MACTP.pack,
+        st.tuples(*[st.integers(1, 9)] * 2),
+        st.integers(0, 2**4 - 1),
+        st.integers(0, 3),
+    ),
+    min_size=1,
+    max_size=8,
+)
+_collecting_states = st.lists(
+    st.builds(
+        COLLECTING.pack,
+        st.tuples(*[st.sampled_from(_FREE)] * 2),
+        st.tuples(*[st.integers(0, 1)] * 2),
+        st.integers(0, 2 ** len(_FREE) - 1),
+        st.integers(0, 1),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
 
 def _reachable_pairs(model):
@@ -131,6 +179,35 @@ class TestModelContract:
         assert cache.step(0, (1,)) == m.step(0, (1,))
         assert cache.step(0, (1,)) == m.step(0, (1,))
         assert len(cache) == 1
+
+
+class TestBatchKernel:
+    """The array kernels against the scalar ``transition_only`` they port."""
+
+    def test_reachable_pairs_of_small_benchmarks(self):
+        for model in _small_benchmark_models():
+            _assert_batch_matches_scalar(model, sorted(value_iteration(model).states))
+
+    def test_default_loops_over_transition_only(self):
+        _assert_batch_matches_scalar(chain_model(), [0, 1, 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mactp_states)
+    @example([MACTP.pack((9, 9), 0, 3), MACTP.pack((1, 5), 5, 3)])  # all arrived: absorbing
+    @example([MACTP.pack((_EDGE_END, 1), 1, 0), MACTP.pack((1, _EDGE_END), 2**4 - 1, 1)])  # blocked
+    def test_mactp_random_states(self, states):
+        _assert_batch_matches_scalar(MACTP, states)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_collecting_states)
+    @example([COLLECTING.pack(_PAIR, (0, 1), 0b1011, 1)])  # all delivered: absorbing
+    @example([COLLECTING.pack(_PAIR, (1, 0), 0b0110, 0), COLLECTING.pack(_PAIR[::-1], (0, 0), 0, 0)])  # collide
+    def test_collecting_random_states(self, states):
+        _assert_batch_matches_scalar(COLLECTING, states)
+
+    def test_out_of_range_state_is_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            MACTP.transition_batch(np.array([-1]))
 
 
 class TestPinnedDynamics:
