@@ -12,7 +12,8 @@ AND-OR search over these support beliefs:
 * trials descend along upper-bound-greedy actions into the child with the
   largest weighted bound gap, expand one frontier node at a time, and back
   bounds up the path (canonical beliefs are memoized, so the search graph
-  may contain loops; periodic full sweeps propagate bounds around them);
+  may contain loops; periodic sweeps propagate bounds around them, backing
+  up only the nodes one of whose children changed a bound);
 * a controller is read out of the lower-bound-greedy choices, frontier
   branches are sealed with self-looping nodes that repeat the best
   fixed-action policy for that belief, and the finished controller is
@@ -33,7 +34,7 @@ from math import ceil, log
 import numpy as np
 
 from .bestresponse import BrDetPomdp
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, require_int_at_least, require_positive_finite
 from .evaluation import trajectory_value
 from .fsc import Fsc, FscNode
 from .model import SupportBelief
@@ -49,14 +50,12 @@ class SolveParams:
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon {self.epsilon} must be positive")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        if self.node_budget < 1:
-            raise ValueError("node_budget must be at least 1")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time_budget must be positive")
+        require_positive_finite("epsilon", self.epsilon)
+        if self.max_depth is not None:
+            require_int_at_least("max_depth", self.max_depth, 1)
+        require_int_at_least("node_budget", self.node_budget, 1)
+        if self.time_budget is not None:
+            require_positive_finite("time_budget", self.time_budget)
 
 
 @dataclass
@@ -203,8 +202,7 @@ def exact_belief_vi(m: BrDetPomdp, b0: SupportBelief, tol: float = 1e-9, cap: in
     Requires the reachable belief set (supports only shrink under
     deterministic dynamics) to stay under ``cap``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    require_positive_finite("tol", tol)
     index: dict[tuple, int] = {b0.atoms: 0}
     beliefs: list[SupportBelief] = [b0]
     n_actions = m.action_count
@@ -252,14 +250,22 @@ def exact_belief_vi(m: BrDetPomdp, b0: SupportBelief, tol: float = 1e-9, cap: in
 
 
 class _Node:
-    __slots__ = ("belief", "lb", "ub", "acts", "terminal")
+    __slots__ = ("belief", "lb", "ub", "acts", "terminal", "index", "parents", "stale")
 
-    def __init__(self, belief: SupportBelief, lb: float, ub: float, terminal: bool) -> None:
+    def __init__(self, belief: SupportBelief, lb: float, ub: float, terminal: bool, index: int) -> None:
         self.belief = belief
         self.lb = lb
         self.ub = ub
         self.acts = None  # per action: (expected reward, tuple[(obs, prob, child)])
         self.terminal = terminal
+        self.index = index  # position in _Search.order
+        # positions of the expanded nodes with this one among their children;
+        # indices, not references: a reference would close a cycle with every
+        # child, and finished search graphs would wait for the cycle collector
+        self.parents: list[int] = []
+        # a child's bound moved since this node's last backup; a node that is not
+        # stale would recompute the bounds it already holds
+        self.stale = False
 
 
 class _Search:
@@ -292,27 +298,36 @@ class _Search:
         key = belief.atoms
         node = self.nodes.get(key)
         if node is None:
+            index = len(self.order)
             if _belief_terminal(belief, self.m):
-                node = _Node(belief, 0.0, 0.0, True)
+                node = _Node(belief, 0.0, 0.0, True, index)
             else:
-                node = _Node(belief, self.floor, upper_bound(belief, self.m), False)
+                node = _Node(belief, self.floor, upper_bound(belief, self.m), False, index)
             self.nodes[key] = node
             self.order.append(node)
         return node
 
     def _expand(self, node: _Node) -> None:
+        index = node.index
         acts = []
         for a in range(self.m.action_count):
             rbar = 0.0
             entries = []
             for obs, p, post, rcond in belief_successors(node.belief, a, self.m):
                 rbar += p * rcond
-                entries.append((obs, p, self._node(post)))
+                child = self._node(post)
+                # once per child: a child met before in this expansion has `node` last
+                parents = child.parents
+                if not parents or parents[-1] != index:
+                    parents.append(index)
+                entries.append((obs, p, child))
             acts.append((rbar, tuple(entries)))
         node.acts = acts
+        node.stale = True
         self.expansions += 1
 
     def _backup(self, node: _Node) -> None:
+        node.stale = False  # cleared first: on a self-loop a change re-marks the node
         gamma = self.gamma
         best_lb = -float("inf")
         best_ub = -float("inf")
@@ -326,17 +341,33 @@ class _Search:
                 best_lb = qlb
             if qub > best_ub:
                 best_ub = qub
+        changed = False
         if best_lb > node.lb:
             node.lb = best_lb
+            changed = True
         if best_ub < node.ub:
             node.ub = best_ub
+            changed = True
+        if changed:
+            self._mark_parents(node)
+
+    def _mark_parents(self, node: _Node) -> None:
+        order = self.order
+        for index in node.parents:
+            order[index].stale = True
 
     def _sweep(self, max_passes: int = 50) -> float:
+        """Gauss-Seidel passes over the expanded nodes, newest first.
+
+        Only stale nodes are backed up: any other node would recompute the
+        bounds it holds, so each pass ends with the bounds and ``delta`` a
+        backup of every node would give.
+        """
         delta = 0.0
         for _ in range(max_passes):
             delta = 0.0
             for node in reversed(self.order):
-                if node.acts is None or node.terminal:
+                if not node.stale:
                     continue
                 old_lb, old_ub = node.lb, node.ub
                 self._backup(node)
@@ -476,6 +507,7 @@ class _Search:
                     v_root = v
                 if v > bn.lb + _LB_EPS:
                     bn.lb = v  # achieved by an actual controller, hence sound
+                    self._mark_parents(bn)
                     improved_bounds = True
             if v_root is None:
                 v_root = fsc_value_in(self.m, fsc, self.root.belief, fsc.initial_node, memo)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .bestresponse import build_br_detpomdp, build_init_detpomdp
 from .detpomdp import SolveParams, solve
-from .errors import MissingStateError, ResourceLimitError
+from .errors import MissingStateError, ResourceLimitError, require_int_at_least, require_positive_finite
 from .evaluation import exact_value
 from .fsc import Fsc, JointPolicy
 from .mdp import DEFAULT_STATE_CAP, DEFAULT_TOL, MdpValueTable, default_policy, value_iteration
@@ -41,10 +41,9 @@ class IdppParams:
     state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self) -> None:
-        if self.value_tolerance <= 0:
-            raise ValueError("value_tolerance must be positive")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+        require_positive_finite("value_tolerance", self.value_tolerance)
+        require_int_at_least("max_rounds", self.max_rounds, 1)
+        require_positive_finite("mdp_tol", self.mdp_tol)
         if self.agent_order not in ("ascending", "random"):
             raise ValueError(f"unknown agent_order {self.agent_order!r}")
 

@@ -155,6 +155,8 @@ class MactpModel(DetDecModel):
         # transition_batch lookup arrays, built on first use; set here so that
         # filling it keeps the instance's attribute layout (and scalar step speed)
         self._batch: tuple[np.ndarray, ...] | None = None
+        # initial_belief, built on first use for the same reason
+        self._initial_belief: SupportBelief | None = None
 
     # --- packing ---------------------------------------------------------
 
@@ -280,6 +282,11 @@ class MactpModel(DetDecModel):
         return tuple(obs)
 
     def initial_belief(self):
+        if self._initial_belief is None:
+            self._initial_belief = self._build_initial_belief()
+        return self._initial_belief
+
+    def _build_initial_belief(self) -> SupportBelief:
         pairs = []
         for bits in range(1 << self._n_edges):
             w = Fraction(1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import MissingStateError, ResourceLimitError
+from .errors import MissingStateError, ResourceLimitError, require_int_at_least, require_positive_finite
 from .model import (
     DetDecModel,
     JointAction,
@@ -84,8 +84,8 @@ def value_iteration(
     max_sweeps: int = 1_000_000,
 ) -> MdpValueTable:
     """Solve the relaxation over the reachable set to Bellman residual <= tol."""
-    if tol <= 0:
-        raise ValueError(f"tol {tol} must be positive")
+    require_positive_finite("tol", tol)
+    require_int_at_least("state_cap", state_cap, 1)
     belief = reachable_from if reachable_from is not None else model.initial_belief()
     states, succ, reward_table = _reachable_tables(model, belief, state_cap)
     n = len(states)

@@ -1,5 +1,8 @@
 import csv
 import json
+import time
+
+import pytest
 
 from detdec.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, HISTORY_COLUMNS, RunConfig, main, run_solve
 
@@ -117,6 +120,16 @@ class TestSolve:
             code = main(["solve", str(inst), "--out", str(tmp_path / "o")])
             assert code == EXIT_ERROR
             assert "instance descriptor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--mdp-tol", "--epsilon", "--time-budget"])
+    def test_non_finite_parameter_is_named(self, tmp_path, capsys, option):
+        inst = _gen_instance(tmp_path)
+        t0 = time.perf_counter()
+        code = main(["solve", str(inst), "--out", str(tmp_path / "o"), option, "nan"])
+        assert code == EXIT_ERROR
+        assert time.perf_counter() - t0 < 5.0  # rejected up front, not after a long run
+        name = option[2:].replace("-", "_")
+        assert f"error: {name} must be a finite positive number" in capsys.readouterr().err
 
     def test_state_cap_violation_is_error(self, tmp_path, capsys):
         inst = _gen_instance(tmp_path)

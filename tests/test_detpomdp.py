@@ -12,6 +12,8 @@ from detdec import (
     best_fixed_action,
     build_br_detpomdp,
     build_init_detpomdp,
+    collecting_generate,
+    CollectingSpec,
     default_policy,
     exact_belief_vi,
     fsc_value_in,
@@ -335,3 +337,100 @@ class TestSolveParamsValidation:
             SolveParams(time_budget=0.0)
         with pytest.raises(ValueError):
             SolveParams(max_depth=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("epsilon", -1.0),
+        ("time_budget", float("nan")),
+        ("time_budget", float("inf")),
+        ("node_budget", True),
+        ("node_budget", 2.5),
+        ("max_depth", True),
+    ])
+    def test_bad_value_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SolveParams(**{name: value})
+
+
+def _full_sweep(self, max_passes: int = 50) -> float:
+    """Reference sweep: Gauss-Seidel passes that back up every expanded node."""
+    delta = 0.0
+    for _ in range(max_passes):
+        delta = 0.0
+        for node in reversed(self.order):
+            if node.acts is None or node.terminal:
+                continue
+            old_lb, old_ub = node.lb, node.ub
+            self._backup(node)
+            gain = max(node.lb - old_lb, old_ub - node.ub)
+            if gain > delta:
+                delta = gain
+        if delta <= 1e-12:
+            break
+    return delta
+
+
+def _br_problem(model, policy_seed: int, agent: int):
+    policy = random_joint_policy(model, SplitMix64(policy_seed))
+    return build_br_detpomdp(model, policy, agent, value_table=value_iteration(model))
+
+
+# (problem, node budget); each search graph has a cycle through two or more nodes
+_SWEEP_CASES = {
+    # extraction raises lower bounds of nodes whose parents lie off the controller
+    "mactp-init": lambda: (_init_problem(mactp_generate(MactpSpec(3, 2, 3, seed=3))), 2000),
+    "mactp-br-node-budget": lambda: (_br_problem(mactp_generate(MactpSpec(3, 2, 5, seed=8)), 8, 0), 300),
+    "collecting-br": lambda: (_br_problem(collecting_generate(CollectingSpec(3, 3, 2, 1, 5)), 5, 1), 2000),
+    "tiny-loops": lambda: (_init_problem(tiny_mactp(agents=1, probs=(Fraction(1, 2), Fraction(1, 2)))), 2000),
+}
+
+
+def _run_search(case: str) -> tuple[_Search, tuple]:
+    prob, budget = _SWEEP_CASES[case]()
+    search = _Search(prob, prob.initial_belief(), SolveParams(epsilon=1e-3, node_budget=budget))
+    res = search.run()
+    outcome = (
+        res.lower_bound, res.upper_bound, res.status, res.expansions, res.trials, res.trace,
+        res.fsc.initial_node, [(n.action, n.transitions, n.fallback) for n in res.fsc.nodes],
+        [(n.lb, n.ub) for n in search.order],
+    )
+    return search, outcome
+
+
+def _has_cycle(order) -> bool:
+    """True when the expanded nodes contain a cycle through two or more nodes."""
+    succ = {
+        id(n): {id(c) for _, entries in n.acts for _, _, c in entries if c is not n and c.acts is not None}
+        for n in order
+        if n.acts is not None
+    }
+    while True:  # peel off nodes with no expanded successor left; a cycle never peels
+        sinks = [k for k, children in succ.items() if not children & succ.keys()]
+        if not sinks:
+            return bool(succ)
+        for k in sinks:
+            del succ[k]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    def test_matches_full_sweep(self, monkeypatch, case):
+        search, fast = _run_search(case)
+        assert _has_cycle(search.order)
+        monkeypatch.setattr(_Search, "_sweep", _full_sweep)
+        _, full = _run_search(case)
+        assert fast == full
+
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    def test_clean_nodes_hold_their_backup(self, case):
+        search, _ = _run_search(case)
+        checked = 0
+        for node in search.order:
+            if node.acts is None or node.terminal or node.stale:
+                continue
+            bounds = (node.lb, node.ub)
+            search._backup(node)
+            assert (node.lb, node.ub) == bounds
+            checked += 1
+        assert checked > 0

@@ -36,6 +36,18 @@ class TestParams:
         with pytest.raises(ValueError):
             IdppParams(agent_order="zigzag")
 
+    @pytest.mark.parametrize("name, value", [
+        ("value_tolerance", float("nan")),
+        ("value_tolerance", float("inf")),
+        ("mdp_tol", float("nan")),
+        ("mdp_tol", float("inf")),
+        ("mdp_tol", 0.0),
+        ("max_rounds", True),
+    ])
+    def test_bad_value_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            IdppParams(**{name: value})
+
 
 class TestHeuristicInit:
     def test_single_agent_init_is_the_direct_solution(self):

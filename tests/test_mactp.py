@@ -65,6 +65,13 @@ class TestInitialBelief:
         assert list(b.states) == sorted(b.states)
         assert sum(b.weights) == 1
 
+    def test_repeated_calls_return_an_equal_belief(self):
+        spec = MactpSpec(3, 2, 5, seed=9)
+        m = mactp_generate(spec)
+        first = m.initial_belief()
+        assert m.initial_belief() == first
+        assert mactp_generate(spec).initial_belief() == first
+
 
 class TestDynamics:
     def test_wait_is_noop(self):

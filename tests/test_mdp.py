@@ -118,6 +118,16 @@ class TestValueIteration:
         with pytest.raises(ValueError):
             value_iteration(selfloop_model(), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    def test_non_finite_tol_is_named(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite positive number"):
+            value_iteration(selfloop_model(), tol=tol)
+
+    @pytest.mark.parametrize("cap", [float("nan"), True, 0])
+    def test_bad_state_cap_is_named(self, cap):
+        with pytest.raises(ValueError, match="state_cap must be an integer"):
+            value_iteration(selfloop_model(), state_cap=cap)
+
 
 class TestDefaultPolicy:
     def test_terminal_state_ties_break_to_first_action(self):
