@@ -24,7 +24,9 @@ from pathlib import Path
 
 from . import envs, idpp
 from .detpomdp import SolveParams
-from .errors import InstanceFormatError, MissingStateError, PolicyFormatError, ResourceLimitError
+from .errors import (
+    InstanceFormatError, MissingStateError, PolicyFormatError, ResourceLimitError, require_int_at_least,
+)
 from .evaluation import evaluate
 from .fsc import JointPolicy, deserialize, serialize
 from .idpp import IdppParams
@@ -70,6 +72,10 @@ class RunConfig:
     state_cap: int = 2_000_000
     episodes: int = 100_000
     horizon: int = 100
+
+    def __post_init__(self) -> None:
+        require_int_at_least("episodes", self.episodes, 0)
+        require_int_at_least("horizon", self.horizon, 1)
 
     def idpp_params(self) -> IdppParams:
         return IdppParams(

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -301,16 +300,13 @@ class CollectingModel(DetDecModel):
 
     def initial_belief(self):
         pairs = []
-        count = 0
         for perm in sorted(itertools.permutations(self.instance.start_cells)):
             for combo in itertools.combinations(self.instance.box_domain, self.instance.boxes):
                 boxmask = 0
                 for cell in combo:
                     boxmask |= 1 << self._fidx[cell]
-                pairs.append(self.pack(perm, (0,) * self.agent_count, boxmask, 0))
-                count += 1
-        w = Fraction(1, count)
-        return SupportBelief.from_pairs((s, w) for s in pairs)
+                pairs.append((self.pack(perm, (0,) * self.agent_count, boxmask, 0), 1))
+        return SupportBelief.from_pairs(pairs)
 
     def is_terminal(self, state):
         self._check_state(state)

@@ -2,8 +2,8 @@
 
 Deterministic dynamics make the belief update a pure bookkeeping step:
 every atom moves to its unique successor, atoms are grouped by the
-observation they emit, and each group renormalizes into a posterior whose
-support can only merge or shrink, never grow.  Planning is heuristic
+observation they emit, and each group's integer weights form a posterior
+whose support can only merge or shrink, never grow.  Planning is heuristic
 AND-OR search over these support beliefs:
 
 * every belief node carries a certified value interval; the upper bound is
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import ceil, log
 
 import numpy as np
@@ -89,11 +88,11 @@ def belief_successors(
     """Group each atom's unique (successor, observation) by observation.
 
     Returns ``(obs, probability, posterior, conditional expected reward)``
-    per observation, sorted by observation.  Probabilities are exact weight
-    sums; the branch rewards recombine to the belief-action expectation via
-    sum(p * r).
+    per observation, sorted by observation.  Posteriors keep the atoms' integer
+    weights; a probability is a weight sum over ``belief.total``.  The branch
+    rewards recombine to the belief-action expectation via sum(p * r).
     """
-    groups: dict[int, dict[int, Fraction]] = {}
+    groups: dict[int, dict[int, int]] = {}
     rewards: dict[int, float] = {}
     step = m.step
     for (eid, w), fw in zip(belief.atoms, belief.float_weights):
@@ -106,12 +105,11 @@ def belief_successors(
         g[e2] = g.get(e2, 0) + w
         rewards[obs] += fw * r
     out = []
+    total = belief.total
     for obs in sorted(groups):
         g = groups[obs]
-        total = sum(g.values())
-        prob = float(total)
-        posterior = SupportBelief(sorted((e, wt / total) for e, wt in g.items()))
-        out.append((obs, prob, posterior, rewards[obs] / prob))
+        prob = sum(g.values()) / total
+        out.append((obs, prob, SupportBelief(sorted(g.items())), rewards[obs] / prob))
     return out
 
 
@@ -203,6 +201,7 @@ def exact_belief_vi(m: BrDetPomdp, b0: SupportBelief, tol: float = 1e-9, cap: in
     deterministic dynamics) to stay under ``cap``.
     """
     require_positive_finite("tol", tol)
+    require_int_at_least("cap", cap, 1)
     index: dict[tuple, int] = {b0.atoms: 0}
     beliefs: list[SupportBelief] = [b0]
     n_actions = m.action_count
@@ -596,7 +595,13 @@ def solve(
     """
     if params is None:
         params = SolveParams()
-    result = _Search(m, b0, params).run()
+    search = _Search(m, b0, params)
+    try:
+        result = search.run()
+    finally:
+        # child links close belief loops; without them refcounting frees the graph
+        for node in search.order:
+            node.acts = None
     if trace_path is not None:
         result.write_trace(trace_path)
     return result

@@ -8,7 +8,7 @@ benchmarks is rendered from the successor state alone.
 ``transition_batch`` is the same dynamics over an array of states and
 every joint action at once, for the relaxation's reachability pass.  The
 only probabilistic object in the whole system is the initial belief, held
-as an explicit weighted support.
+as an explicit support with integer weights.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import abc
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,8 +26,6 @@ from .errors import ResourceLimitError
 StateId = int
 JointAction = tuple[int, ...]
 JointObservation = tuple[int, ...]
-
-_SUM_TOL = Fraction(1, 10**9)
 
 
 def require_int64_state_ids(max_id: int) -> None:
@@ -54,54 +53,55 @@ def checked_state_ids(states, state_card: int) -> np.ndarray:
 class SupportBelief:
     """A distribution over states represented by its finite support.
 
-    Weights are exact rationals.  Posteriors produced by deterministic
-    filtering are ratios of sums of the initial weights, so rational
-    arithmetic keeps structurally equal beliefs *identical* (safe to use as
-    dict keys for memoization) with no rounding tolerance.
+    Weights are positive integers over the common denominator ``total``.
+    The initial belief is the only uncertainty, so every posterior that
+    deterministic filtering produces holds sub-sums of the initial weights:
+    integers keep them exact with no rounding tolerance.  The constructor
+    divides the weights by their gcd, so equal distributions have identical
+    atoms (safe to use as dict keys for memoization).
 
-    Atoms are stored sorted ascending by state id with strictly positive
-    weights, so equal beliefs have identical representations.
+    Atoms are stored sorted ascending by state id.
     """
 
-    __slots__ = ("atoms", "float_weights")
+    __slots__ = ("atoms", "total", "float_weights")
 
-    def __init__(self, atoms: Iterable[tuple[StateId, Fraction]]) -> None:
+    def __init__(self, atoms: Iterable[tuple[StateId, int]]) -> None:
         atoms = tuple(atoms)
         if not atoms:
             raise ValueError("belief support must be non-empty")
         prev = None
-        total = Fraction(0)
         for state, weight in atoms:
             if prev is not None and state <= prev:
                 raise ValueError("belief atoms must be strictly ascending by state id")
             prev = state
-            if weight <= 0:
-                raise ValueError(f"belief weight for state {state} is not positive")
-            total += weight
-        if abs(total - 1) > _SUM_TOL:
-            raise ValueError(f"belief weights sum to {float(total)!r}, expected 1")
+            if type(weight) is not int or weight <= 0:
+                raise ValueError(f"belief weight {weight!r} for state {state} is not a positive int")
+        divisor = gcd(*(w for _, w in atoms))
+        if divisor > 1:
+            atoms = tuple((s, w // divisor) for s, w in atoms)
+        total = sum(w for _, w in atoms)
         self.atoms = atoms
-        self.float_weights = tuple(float(w) for _, w in atoms)
+        self.total = total
+        self.float_weights = tuple(w / total for _, w in atoms)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[StateId, object]]) -> "SupportBelief":
-        """Merge duplicate states, drop zero weights, normalize exactly, sort."""
+        """Merge duplicate states, drop zero weights, scale rationals to integers, sort."""
         acc: dict[StateId, Fraction] = {}
         for state, weight in pairs:
-            w = weight if isinstance(weight, Fraction) else Fraction(weight)
+            w = Fraction(weight)
             if w < 0:
                 raise ValueError(f"negative weight for state {state}")
-            if w == 0:
-                continue
-            acc[state] = acc.get(state, Fraction(0)) + w
+            if w:
+                acc[state] = acc.get(state, 0) + w
         if not acc:
             raise ValueError("belief support must be non-empty")
-        total = sum(acc.values())
-        return cls(sorted((s, w / total) for s, w in acc.items()))
+        scale = lcm(*(w.denominator for w in acc.values()))
+        return cls(sorted((s, int(w * scale)) for s, w in acc.items()))
 
     @classmethod
     def point(cls, state: StateId) -> "SupportBelief":
-        return cls(((state, Fraction(1)),))
+        return cls(((state, 1),))
 
     @property
     def states(self) -> tuple[StateId, ...]:
@@ -109,12 +109,13 @@ class SupportBelief:
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
-        return tuple(w for _, w in self.atoms)
+        """Exact probabilities, aligned with ``states``."""
+        return tuple(Fraction(w, self.total) for _, w in self.atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def __iter__(self) -> Iterator[tuple[StateId, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[StateId, int]]:
         return iter(self.atoms)
 
     def __eq__(self, other: object) -> bool:
@@ -124,7 +125,7 @@ class SupportBelief:
         return hash(self.atoms)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{s}:{float(w):.4g}" for s, w in self.atoms[:4])
+        inner = ", ".join(f"{s}:{fw:.4g}" for (s, _), fw in zip(self.atoms[:4], self.float_weights))
         if len(self.atoms) > 4:
             inner += f", ... ({len(self.atoms)} atoms)"
         return f"SupportBelief({inner})"
@@ -138,13 +139,6 @@ def enumerate_joint_actions(sizes: tuple[int, ...]) -> tuple[JointAction, ...]:
     index*; tie-breaking rules elsewhere refer to this ordering.
     """
     return tuple(itertools.product(*(range(k) for k in sizes)))
-
-
-def joint_action_index(sizes: tuple[int, ...], action: JointAction) -> int:
-    idx = 0
-    for k, a in zip(sizes, action):
-        idx = idx * k + a
-    return idx
 
 
 class DetDecModel(abc.ABC):

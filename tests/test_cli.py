@@ -131,6 +131,15 @@ class TestSolve:
         name = option[2:].replace("-", "_")
         assert f"error: {name} must be a finite positive number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [("--episodes", "-1"), ("--horizon", "0")])
+    def test_bad_run_setting_fails_before_solve(self, tmp_path, capsys, option, value):
+        inst = _gen_instance(tmp_path)
+        out = tmp_path / "o"
+        code = main(["solve", str(inst), "--out", str(out), option, value])
+        assert code == EXIT_ERROR
+        assert f"error: {option[2:]} must be an integer" in capsys.readouterr().err
+        assert not (out / "policy.json").exists()
+
     def test_state_cap_violation_is_error(self, tmp_path, capsys):
         inst = _gen_instance(tmp_path)
         code = main(["solve", str(inst), "--out", str(tmp_path / "o"), "--state-cap", "10"])

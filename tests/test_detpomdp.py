@@ -1,3 +1,5 @@
+import gc
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,7 @@ from detdec import (
     upper_bound,
     value_iteration,
 )
-from detdec.detpomdp import _Search
+from detdec.detpomdp import _Node, _Search
 from detdec.rng import SplitMix64, stream_seed
 
 import numpy as np
@@ -111,19 +113,40 @@ class TestBeliefSuccessors:
             # exact image check: stepping each atom individually yields the same
             # weighted multiset the grouped posteriors encode
             expected: dict[tuple[int, int], Fraction] = {}
-            for eid, w in b.atoms:
+            for eid, w in zip(b.states, b.weights):
                 e2, obs, _ = prob.step(eid, a)
                 expected[(obs, e2)] = expected.get((obs, e2), Fraction(0)) + w
             got: dict[tuple[int, int], Fraction] = {}
             for obs, _, post, _ in succ:
-                branch_weight = sum(expected[(obs, e)] for e, _ in post.atoms)
-                for e, w in post.atoms:
+                branch_weight = sum(expected[(obs, e)] for e in post.states)
+                for e, w in zip(post.states, post.weights):
                     got[(obs, e)] = got.get((obs, e), Fraction(0)) + w * branch_weight
             assert got == expected
             # support monotonicity along every branch
             for _, _, post, _ in succ:
                 assert len(post) <= len(b)
                 beliefs.append(post)
+
+    def test_equal_distributions_share_one_node(self):
+        # parents of totals 2 and 4 both filter to the uniform belief over {20, 21}
+        t = {(s, (0,)): (s + 10, (int(s >= 2),), 0.0) for s in range(5)}
+        t.update({(s, (0,)): (20 + int(s in (11, 14)), (0,), 0.0) for s in range(10, 15)})
+        t.update({(20, (0,)): (20, (0,), 1.0), (21, (0,)): (21, (0,), 0.0)})
+        prob = _init_problem(
+            TabularModel(1, (1,), (2,), 0.9, t, SupportBelief(((0, 1), (1, 1), (2, 1), (3, 1), (4, 2))))
+        )
+        b0 = prob.initial_belief()
+        (_, _, p1, _), (_, _, p2, _) = belief_successors(b0, 0, prob)
+        assert (p1.total, p2.total) == (2, 4)
+        [(_, _, q1, _)] = belief_successors(p1, 0, prob)
+        [(_, _, q2, _)] = belief_successors(p2, 0, prob)
+        assert q1 == q2 and hash(q1) == hash(q2)
+        assert q1.atoms == q2.atoms and q1.total == 2
+        search = _Search(prob, b0, SolveParams(epsilon=1e-3))
+        search.run()
+        [(_, [(_, _, c1)])] = search.nodes[p1.atoms].acts
+        [(_, [(_, _, c2)])] = search.nodes[p2.atoms].acts
+        assert c1 is c2 is search.nodes[q1.atoms]
 
 
 class TestBounds:
@@ -185,6 +208,14 @@ class TestExactBeliefVi:
         prob = _init_problem(m)
         with pytest.raises(ResourceLimitError, match="cap=5"):
             exact_belief_vi(prob, prob.initial_belief(), cap=5)
+
+    @pytest.mark.parametrize("name, value", [
+        ("tol", float("nan")), ("cap", float("nan")), ("cap", 0), ("cap", True),
+    ])
+    def test_bad_setting_is_named(self, name, value):
+        prob = _init_problem(tiny_mactp(agents=1, probs=()))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            exact_belief_vi(prob, prob.initial_belief(), **{name: value})
 
 
 class TestSolve:
@@ -434,3 +465,47 @@ class TestSweep:
             assert (node.lb, node.ub) == bounds
             checked += 1
         assert checked > 0
+
+
+class TestPinnedSolve:
+    """SHA-256 of ``repr`` of every ``SolveResult`` field but ``elapsed``.
+
+    The pinned digests make any change to the bounds, status, counters,
+    trace or controller of these solves fail this test.
+    """
+
+    CASES = {
+        "mactp-3-2-5-init": (
+            lambda: _init_problem(mactp_generate(MactpSpec(3, 2, 5, seed=29))),
+            "b357d77729ab9520713132a2a98ca8e8daf457dc1a55f16463b7fd8f04262b57",
+        ),
+        "collecting-3x3-a2-b1-br": (
+            lambda: _br_problem(collecting_generate(CollectingSpec(3, 3, 2, 1, 5)), 5, 1),
+            "fe8c83e7d6665f7828fd741945aa49990b6674e6376bf8997efcf0b0eb619a9a",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_result_digest(self, case):
+        make, expected = self.CASES[case]
+        prob = make()
+        res = solve(prob, prob.initial_belief(), SolveParams(epsilon=1e-3, node_budget=2000))
+        fields = (
+            res.lower_bound, res.upper_bound, res.converged, res.status, res.expansions, res.trials,
+            res.trace, res.fsc.initial_node,
+            [(n.action, sorted(n.transitions.items()), n.fallback) for n in res.fsc.nodes],
+        )
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == expected
+
+    def test_no_node_outlives_solve(self):
+        # belief loops make the search graph cyclic; with the cycle collector off
+        # only reference counting can free it
+        prob = _init_problem(mactp_generate(MactpSpec(3, 2, 3, seed=3)))
+        gc.collect()
+        gc.disable()
+        try:
+            solve(prob, prob.initial_belief(), SolveParams(epsilon=1e-3, node_budget=2000))
+            alive = sum(type(obj) is _Node for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0

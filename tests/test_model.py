@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from detdec import (
     value_iteration,
 )
 from detdec.mactp import grid_edges
-from detdec.model import joint_action_index
 
 from helpers import absorbing_model, chain_model, selfloop_model
 
@@ -84,28 +84,45 @@ def _reachable_pairs(model):
 class TestSupportBelief:
     def test_point(self):
         b = SupportBelief.point(7)
+        assert b.atoms == ((7, 1),) and b.total == 1
         assert b.states == (7,) and b.weights == (Fraction(1),)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="ascending"):
-            SupportBelief(((2, Fraction(1, 2)), (1, Fraction(1, 2))))
+            SupportBelief(((2, 1), (1, 1)))
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="ascending"):
-            SupportBelief(((1, Fraction(1, 2)), (1, Fraction(1, 2))))
+            SupportBelief(((1, 1), (1, 1)))
 
     def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError, match="positive"):
-            SupportBelief(((1, Fraction(0)), (2, Fraction(1))))
+        for weight in (0, -1):
+            with pytest.raises(ValueError, match="positive int"):
+                SupportBelief(((1, weight), (2, 1)))
 
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            SupportBelief(((1, Fraction(1, 2)), (2, Fraction(1, 3))))
+    @pytest.mark.parametrize("weight", [True, 1.0, Fraction(1), Fraction(1, 2)])
+    def test_rejects_non_int_weight(self, weight):
+        with pytest.raises(ValueError, match="positive int"):
+            SupportBelief(((1, weight), (2, 1)))
+
+    def test_reduces_by_gcd(self):
+        b = SupportBelief(((1, 4), (3, 6)))
+        assert b.atoms == ((1, 2), (3, 3)) and b.total == 5
+        assert b == SupportBelief(((1, 2), (3, 3)))
+        assert hash(b) == hash(SupportBelief(((1, 2), (3, 3))))
+        assert b.weights == (Fraction(2, 5), Fraction(3, 5))
+        assert b.float_weights == (0.4, 0.6)
 
     def test_from_pairs_merges_and_normalizes(self):
         b = SupportBelief.from_pairs([(3, 1), (1, 2), (3, 1), (2, 0)])
         assert b.states == (1, 3)
+        assert b.atoms == ((1, 1), (3, 1))
         assert b.weights == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_from_pairs_scales_rationals_by_lcm(self):
+        b = SupportBelief.from_pairs([(0, Fraction(1, 3)), (1, Fraction(1, 2)), (2, Fraction(1, 6))])
+        assert b.atoms == ((0, 2), (1, 3), (2, 1)) and b.total == 6
+        assert b.weights == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
 
     @given(
         st.lists(
@@ -119,6 +136,7 @@ class TestSupportBelief:
         assert list(b.states) == sorted(set(b.states))
         assert sum(b.weights) == 1
         assert all(w > 0 for w in b.weights)
+        assert math.gcd(*(w for _, w in b.atoms)) == 1
         # canonical representation: equal beliefs hash equal
         assert b == SupportBelief.from_pairs(list(reversed(pairs)))
         assert hash(b) == hash(SupportBelief.from_pairs(list(reversed(pairs))))
@@ -129,11 +147,6 @@ class TestJointActions:
         actions = enumerate_joint_actions((2, 3))
         assert actions == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
         assert actions == tuple(sorted(actions))
-
-    def test_index_matches_position(self):
-        sizes = (3, 2, 4)
-        for i, a in enumerate(enumerate_joint_actions(sizes)):
-            assert joint_action_index(sizes, a) == i
 
 
 class TestModelContract:
