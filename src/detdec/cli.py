@@ -26,6 +26,7 @@ from . import envs, idpp
 from .detpomdp import SolveParams
 from .errors import (
     InstanceFormatError, MissingStateError, PolicyFormatError, ResourceLimitError, require_int_at_least,
+    require_positive_finite,
 )
 from .evaluation import evaluate
 from .fsc import JointPolicy, deserialize, serialize
@@ -74,8 +75,13 @@ class RunConfig:
     horizon: int = 100
 
     def __post_init__(self) -> None:
+        if self.gamma is not None:
+            require_positive_finite("gamma", self.gamma)
+            if self.gamma >= 1:
+                raise ValueError(f"gamma must lie in (0, 1), got {self.gamma!r}")
         require_int_at_least("episodes", self.episodes, 0)
         require_int_at_least("horizon", self.horizon, 1)
+        self.idpp_params()  # checks every solver setting before a run writes anything
 
     def idpp_params(self) -> IdppParams:
         return IdppParams(

@@ -12,8 +12,8 @@ AND-OR search over these support beliefs:
 * trials descend along upper-bound-greedy actions into the child with the
   largest weighted bound gap, expand one frontier node at a time, and back
   bounds up the path (canonical beliefs are memoized, so the search graph
-  may contain loops; periodic sweeps propagate bounds around them, backing
-  up only the nodes one of whose children changed a bound);
+  may contain loops; a sweep solves its strongly connected components
+  children first, each to its fixed point, and a self-loop in closed form);
 * a controller is read out of the lower-bound-greedy choices, frontier
   branches are sealed with self-looping nodes that repeat the best
   fixed-action policy for that belief, and the finished controller is
@@ -72,14 +72,6 @@ class SolveResult:
     @property
     def gap(self) -> float:
         return self.upper_bound - self.lower_bound
-
-    def write_trace(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "root_lower", "root_upper", "expanded_nodes"])
-            writer.writerows(self.trace)
 
 
 def belief_successors(
@@ -249,22 +241,18 @@ def exact_belief_vi(m: BrDetPomdp, b0: SupportBelief, tol: float = 1e-9, cap: in
 
 
 class _Node:
-    __slots__ = ("belief", "lb", "ub", "acts", "terminal", "index", "parents", "stale")
+    __slots__ = ("belief", "lb", "ub", "acts", "terminal")
 
-    def __init__(self, belief: SupportBelief, lb: float, ub: float, terminal: bool, index: int) -> None:
+    def __init__(self, belief: SupportBelief, lb: float, ub: float, terminal: bool) -> None:
         self.belief = belief
         self.lb = lb
         self.ub = ub
         self.acts = None  # per action: (expected reward, tuple[(obs, prob, child)])
         self.terminal = terminal
-        self.index = index  # position in _Search.order
-        # positions of the expanded nodes with this one among their children;
-        # indices, not references: a reference would close a cycle with every
-        # child, and finished search graphs would wait for the cycle collector
-        self.parents: list[int] = []
-        # a child's bound moved since this node's last backup; a node that is not
-        # stale would recompute the bounds it already holds
-        self.stale = False
+
+
+def _expanded_children(node: _Node):
+    return (child for _, entries in node.acts for _, _, child in entries if child.acts is not None)
 
 
 class _Search:
@@ -283,7 +271,6 @@ class _Search:
             # past this depth the discounted tail cannot move bounds by epsilon
             self.max_depth = max(1, ceil(log(params.epsilon / span) / log(self.gamma)))
         self.nodes: dict[tuple, _Node] = {}
-        self.order: list[_Node] = []
         self.fixed_memo: dict = {}
         self.expansions = 0
         self.trials = 0
@@ -297,85 +284,107 @@ class _Search:
         key = belief.atoms
         node = self.nodes.get(key)
         if node is None:
-            index = len(self.order)
             if _belief_terminal(belief, self.m):
-                node = _Node(belief, 0.0, 0.0, True, index)
+                node = _Node(belief, 0.0, 0.0, True)
             else:
-                node = _Node(belief, self.floor, upper_bound(belief, self.m), False, index)
+                node = _Node(belief, self.floor, upper_bound(belief, self.m), False)
             self.nodes[key] = node
-            self.order.append(node)
         return node
 
     def _expand(self, node: _Node) -> None:
-        index = node.index
         acts = []
         for a in range(self.m.action_count):
             rbar = 0.0
             entries = []
             for obs, p, post, rcond in belief_successors(node.belief, a, self.m):
                 rbar += p * rcond
-                child = self._node(post)
-                # once per child: a child met before in this expansion has `node` last
-                parents = child.parents
-                if not parents or parents[-1] != index:
-                    parents.append(index)
-                entries.append((obs, p, child))
+                entries.append((obs, p, self._node(post)))
             acts.append((rbar, tuple(entries)))
         node.acts = acts
-        node.stale = True
         self.expansions += 1
 
-    def _backup(self, node: _Node) -> None:
-        node.stale = False  # cleared first: on a self-loop a change re-marks the node
+    def _backup(self, node: _Node) -> float:
+        """Tighten both bounds of ``node``; return the larger change.
+
+        With the other children's bounds held, an action's value on a
+        self-loop of probability ``p`` is the fixed point of
+        ``x = c + gamma * p * x``, that is ``c / (1 - gamma * p)``.
+        """
         gamma = self.gamma
         best_lb = -float("inf")
         best_ub = -float("inf")
         for rbar, entries in node.acts:
             qlb = rbar
             qub = rbar
+            loop = 0.0
             for _, p, child in entries:
-                qlb += gamma * p * child.lb
-                qub += gamma * p * child.ub
+                if child is node:
+                    loop += p
+                else:
+                    qlb += gamma * p * child.lb
+                    qub += gamma * p * child.ub
+            scale = 1.0 - gamma * loop  # exactly 1.0 without a self-loop
+            qlb /= scale
+            qub /= scale
             if qlb > best_lb:
                 best_lb = qlb
             if qub > best_ub:
                 best_ub = qub
-        changed = False
+        gain = 0.0
         if best_lb > node.lb:
+            gain = best_lb - node.lb
             node.lb = best_lb
-            changed = True
         if best_ub < node.ub:
+            gain = max(gain, node.ub - best_ub)
             node.ub = best_ub
-            changed = True
-        if changed:
-            self._mark_parents(node)
+        return gain
 
-    def _mark_parents(self, node: _Node) -> None:
-        order = self.order
-        for index in node.parents:
-            order[index].stale = True
+    def _sweep(self) -> None:
+        """Bring every expanded node's bounds to their fixed point.
 
-    def _sweep(self, max_passes: int = 50) -> float:
-        """Gauss-Seidel passes over the expanded nodes, newest first.
-
-        Only stale nodes are backed up: any other node would recompute the
-        bounds it holds, so each pass ends with the bounds and ``delta`` a
-        backup of every node would give.
+        Tarjan's algorithm (iterative: search graphs are deeper than the
+        recursion limit) emits the strongly connected components of the
+        expanded graph children first, so each component is solved once, on
+        final bounds below it: a single node by one backup, a larger
+        component by Gauss-Seidel passes until no bound moves by 1e-12.
         """
-        delta = 0.0
-        for _ in range(max_passes):
-            delta = 0.0
-            for node in reversed(self.order):
-                if not node.stale:
-                    continue
-                old_lb, old_ub = node.lb, node.ub
-                self._backup(node)
-                gain = max(node.lb - old_lb, old_ub - node.ub)
-                if gain > delta:
-                    delta = gain
-            if delta <= 1e-12:
-                break
-        return delta
+        root = self.root
+        if root.acts is None:
+            return
+        done = len(self.nodes)  # above every DFS number: a finished node lowers no link
+        number = {id(root): 0}
+        low = {id(root): 0}
+        stack = [root]
+        calls = [(root, _expanded_children(root))]
+        while calls:
+            node, children = calls[-1]
+            key = id(node)
+            for child in children:
+                ckey = id(child)
+                if ckey not in number:
+                    number[ckey] = low[ckey] = len(number)
+                    stack.append(child)
+                    calls.append((child, _expanded_children(child)))
+                    break
+                low[key] = min(low[key], number[ckey])
+            else:
+                calls.pop()
+                if calls:
+                    pkey = id(calls[-1][0])
+                    low[pkey] = min(low[pkey], low[key])
+                if low[key] == number[key]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        number[id(member)] = done
+                        component.append(member)
+                        if member is node:
+                            break
+                    if len(component) == 1:
+                        self._backup(node)
+                    else:
+                        while max([self._backup(member) for member in component]) > 1e-12:
+                            pass
 
     # --- trial loop ----------------------------------------------------------
 
@@ -506,7 +515,6 @@ class _Search:
                     v_root = v
                 if v > bn.lb + _LB_EPS:
                     bn.lb = v  # achieved by an actual controller, hence sound
-                    self._mark_parents(bn)
                     improved_bounds = True
             if v_root is None:
                 v_root = fsc_value_in(self.m, fsc, self.root.belief, fsc.initial_node, memo)
@@ -529,7 +537,7 @@ class _Search:
         status = None
         while True:
             # trial phase
-            stall_streak = 0
+            idle = False
             while True:
                 if root.terminal or root.ub - root.lb <= params.epsilon:
                     break
@@ -542,21 +550,16 @@ class _Search:
                 before = self.expansions
                 self._trial()
                 self.trace.append((self.trials, root.lb, root.ub, self.expansions))
-                if self.expansions == before:
-                    # no expansion: propagate bounds and retry; only a trial run
-                    # straight after a converged sweep proves there is nothing
-                    # left to reach under the current bounds
-                    if self._sweep() <= 1e-12:
-                        stall_streak += 1
-                        if stall_streak >= 3:
-                            status = "stalled"
-                            break
-                    else:
-                        stall_streak = 0
+                if self.expansions > before:
+                    idle = False
+                elif idle:
+                    # after an exact sweep a trial changes no bound, so one that
+                    # expands nothing would be retraced by every later trial
+                    status = "stalled"
+                    break
                 else:
-                    stall_streak = 0
-                    if self.trials % 128 == 0:
-                        self._sweep(max_passes=5)
+                    self._sweep()
+                    idle = True
             self._sweep()
             fsc, certified = self._extract_and_refine()
             self._sweep()
@@ -584,7 +587,6 @@ def solve(
     m: BrDetPomdp,
     b0: SupportBelief,
     params: SolveParams | None = None,
-    trace_path=None,
 ) -> SolveResult:
     """Plan in a deterministic POMDP; always returns a total controller.
 
@@ -600,8 +602,6 @@ def solve(
         result = search.run()
     finally:
         # child links close belief loops; without them refcounting frees the graph
-        for node in search.order:
+        for node in search.nodes.values():
             node.acts = None
-    if trace_path is not None:
-        result.write_trace(trace_path)
     return result

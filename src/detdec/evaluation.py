@@ -20,6 +20,7 @@ from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
+from .errors import require_int_at_least
 from .fsc import JointPolicy
 from .model import DetDecModel, TransitionCache
 from .rng import stream_seed
@@ -154,10 +155,8 @@ def mc_value(
     (mean, standard error of the mean).
     """
     _check_compatible(model, policy)
-    if episodes < 1:
-        raise ValueError(f"episodes {episodes} < 1")
-    if horizon < 1:
-        raise ValueError(f"horizon {horizon} < 1")
+    require_int_at_least("episodes", episodes, 1)
+    require_int_at_least("horizon", horizon, 1)
     belief = model.initial_belief()
     rng = np.random.default_rng(stream_seed(seed, "mc-eval"))
     cum = np.cumsum(np.asarray(belief.float_weights))
@@ -203,7 +202,12 @@ def evaluate(
     horizon: int = 100,
     seed: int = 0,
 ) -> EvalReport:
-    """Convenience wrapper: exact and/or Monte Carlo evaluation in one report."""
+    """Convenience wrapper: exact and/or Monte Carlo evaluation in one report.
+
+    ``episodes`` 0 skips Monte Carlo; both settings are checked before any work.
+    """
+    require_int_at_least("episodes", episodes, 0)
+    require_int_at_least("horizon", horizon, 1)
     ev = exact_value(model, policy) if exact else None
     mean = std_error = None
     if episodes:

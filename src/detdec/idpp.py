@@ -44,6 +44,7 @@ class IdppParams:
         require_positive_finite("value_tolerance", self.value_tolerance)
         require_int_at_least("max_rounds", self.max_rounds, 1)
         require_positive_finite("mdp_tol", self.mdp_tol)
+        require_int_at_least("state_cap", self.state_cap, 1)
         if self.agent_order not in ("ascending", "random"):
             raise ValueError(f"unknown agent_order {self.agent_order!r}")
 

@@ -124,21 +124,35 @@ class TestSolve:
     @pytest.mark.parametrize("option", ["--mdp-tol", "--epsilon", "--time-budget"])
     def test_non_finite_parameter_is_named(self, tmp_path, capsys, option):
         inst = _gen_instance(tmp_path)
+        out = tmp_path / "o"
         t0 = time.perf_counter()
-        code = main(["solve", str(inst), "--out", str(tmp_path / "o"), option, "nan"])
+        code = main(["solve", str(inst), "--out", str(out), option, "nan"])
         assert code == EXIT_ERROR
         assert time.perf_counter() - t0 < 5.0  # rejected up front, not after a long run
         name = option[2:].replace("-", "_")
         assert f"error: {name} must be a finite positive number" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
 
-    @pytest.mark.parametrize("option, value", [("--episodes", "-1"), ("--horizon", "0")])
+    @pytest.mark.parametrize("option, value", [
+        ("--episodes", "-1"), ("--horizon", "0"), ("--node-budget", "0"), ("--max-rounds", "0"),
+        ("--state-cap", "0"),
+    ])
     def test_bad_run_setting_fails_before_solve(self, tmp_path, capsys, option, value):
         inst = _gen_instance(tmp_path)
         out = tmp_path / "o"
         code = main(["solve", str(inst), "--out", str(out), option, value])
         assert code == EXIT_ERROR
-        assert f"error: {option[2:]} must be an integer" in capsys.readouterr().err
-        assert not (out / "policy.json").exists()
+        name = option[2:].replace("-", "_")
+        assert f"error: {name} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1", "1.5"])
+    def test_gamma_outside_unit_interval_is_named(self, tmp_path, capsys, value):
+        inst = _gen_instance(tmp_path)
+        out = tmp_path / "o"
+        assert main(["solve", str(inst), "--out", str(out), "--gamma", value]) == EXIT_ERROR
+        assert "error: gamma must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_state_cap_violation_is_error(self, tmp_path, capsys):
         inst = _gen_instance(tmp_path)
@@ -163,6 +177,19 @@ class TestEval:
         doc = json.loads(report_path.read_text())
         assert doc["exact_value"] is not None
         assert doc["mc_mean"] is not None
+
+    @pytest.mark.parametrize("settings, name", [
+        (["--episodes", "0", "--horizon", "-5"], "horizon"),
+        (["--episodes", "-1"], "episodes"),
+    ])
+    def test_bad_setting_fails_before_evaluation(self, tmp_path, capsys, settings, name):
+        inst, policy = self._solved(tmp_path)
+        capsys.readouterr()
+        code = main(["eval", str(inst), str(policy), "--exact", *settings])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"error: {name} must be an integer" in captured.err
+        assert "exact value" not in captured.out
 
     def test_reproducible_mc(self, tmp_path):
         inst, policy = self._solved(tmp_path)

@@ -298,15 +298,6 @@ class TestSolve:
         lowers = [row[1] for row in res.trace]
         assert all(b >= a - 1e-12 for a, b in zip(lowers, lowers[1:]))
 
-    def test_trace_file(self, tmp_path):
-        m = tiny_mactp(agents=1, probs=(Fraction(1, 2),))
-        prob = _init_problem(m)
-        path = tmp_path / "trace.csv"
-        solve(prob, prob.initial_belief(), SolveParams(epsilon=1e-3), trace_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,root_lower,root_upper,expanded_nodes"
-        assert len(lines) >= 2
-
     def test_bound_soundness_against_oracle(self):
         m = mactp_generate(MactpSpec(3, 2, 5, seed=29))
         prob = _init_problem(m)
@@ -315,7 +306,7 @@ class TestSolve:
         search = _Search(prob, b0, params)
         search.run()
         checked = 0
-        for node in search.order:
+        for node in search.nodes.values():
             if node.acts is None or checked >= 12:
                 continue
             v_star = exact_belief_vi(prob, node.belief, tol=1e-10)
@@ -384,24 +375,6 @@ class TestSolveParamsValidation:
             SolveParams(**{name: value})
 
 
-def _full_sweep(self, max_passes: int = 50) -> float:
-    """Reference sweep: Gauss-Seidel passes that back up every expanded node."""
-    delta = 0.0
-    for _ in range(max_passes):
-        delta = 0.0
-        for node in reversed(self.order):
-            if node.acts is None or node.terminal:
-                continue
-            old_lb, old_ub = node.lb, node.ub
-            self._backup(node)
-            gain = max(node.lb - old_lb, old_ub - node.ub)
-            if gain > delta:
-                delta = gain
-        if delta <= 1e-12:
-            break
-    return delta
-
-
 def _br_problem(model, policy_seed: int, agent: int):
     policy = random_joint_policy(model, SplitMix64(policy_seed))
     return build_br_detpomdp(model, policy, agent, value_table=value_iteration(model))
@@ -417,23 +390,19 @@ _SWEEP_CASES = {
 }
 
 
-def _run_search(case: str) -> tuple[_Search, tuple]:
+def _run_search(case: str) -> _Search:
     prob, budget = _SWEEP_CASES[case]()
     search = _Search(prob, prob.initial_belief(), SolveParams(epsilon=1e-3, node_budget=budget))
-    res = search.run()
-    outcome = (
-        res.lower_bound, res.upper_bound, res.status, res.expansions, res.trials, res.trace,
-        res.fsc.initial_node, [(n.action, n.transitions, n.fallback) for n in res.fsc.nodes],
-        [(n.lb, n.ub) for n in search.order],
-    )
-    return search, outcome
+    search.run()
+    assert _has_cycle(search.nodes.values())
+    return search
 
 
-def _has_cycle(order) -> bool:
+def _has_cycle(nodes) -> bool:
     """True when the expanded nodes contain a cycle through two or more nodes."""
     succ = {
         id(n): {id(c) for _, entries in n.acts for _, _, c in entries if c is not n and c.acts is not None}
-        for n in order
+        for n in nodes
         if n.acts is not None
     }
     while True:  # peel off nodes with no expanded successor left; a cycle never peels
@@ -444,27 +413,77 @@ def _has_cycle(order) -> bool:
             del succ[k]
 
 
+def _gauss_seidel(expanded, gamma: float, tol: float) -> None:
+    """Reference sweep: plain backups of every expanded node until none moves by ``tol``."""
+    while True:
+        delta = 0.0
+        for node in expanded:
+            best_lb = max(r + sum(gamma * p * c.lb for _, p, c in entries) for r, entries in node.acts)
+            best_ub = max(r + sum(gamma * p * c.ub for _, p, c in entries) for r, entries in node.acts)
+            delta = max(delta, best_lb - node.lb, node.ub - best_ub)
+            node.lb = max(node.lb, best_lb)
+            node.ub = min(node.ub, best_ub)
+        if delta <= tol:
+            return
+
+
 class TestSweep:
     @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
-    def test_matches_full_sweep(self, monkeypatch, case):
-        search, fast = _run_search(case)
-        assert _has_cycle(search.order)
-        monkeypatch.setattr(_Search, "_sweep", _full_sweep)
-        _, full = _run_search(case)
-        assert fast == full
+    def test_matches_full_sweep(self, case):
+        # from the initial bounds, the SCC sweep lands where plain Gauss-Seidel converges
+        search = _run_search(case)
+        expanded = [n for n in search.nodes.values() if n.acts is not None]
+
+        def reset():
+            for node in expanded:
+                node.lb, node.ub = search.floor, upper_bound(node.belief, search.m)
+
+        reset()
+        search._sweep()
+        swept = [(n.lb, n.ub) for n in expanded]
+        reset()
+        _gauss_seidel(expanded[::-1], search.gamma, 1e-13)
+        for (lb, ub), node in zip(swept, expanded):
+            assert lb == pytest.approx(node.lb, abs=1e-9)
+            assert ub == pytest.approx(node.ub, abs=1e-9)
 
     @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
     def test_clean_nodes_hold_their_backup(self, case):
-        search, _ = _run_search(case)
+        # the sweep that ends a run leaves every expanded node at its fixed point
+        search = _run_search(case)
         checked = 0
-        for node in search.order:
-            if node.acts is None or node.terminal or node.stale:
+        for node in search.nodes.values():
+            if node.acts is None:
                 continue
             bounds = (node.lb, node.ub)
-            search._backup(node)
-            assert (node.lb, node.ub) == bounds
+            assert search._backup(node) <= 1e-12
+            assert (node.lb, node.ub) == pytest.approx(bounds, abs=1e-12)
+            node.lb, node.ub = bounds  # each backup starts from the state the run left
             checked += 1
         assert checked > 0
+
+    def test_self_loop_reaches_its_fixed_point_in_one_backup(self):
+        # staying in state 0 earns 1 forever; leaving earns nothing
+        t = {(0, (0,)): (0, (0,), 1.0), (0, (1,)): (1, (0,), 0.0)}
+        t.update({(1, (a,)): (1, (0,), 0.0) for a in (0, 1)})
+        prob = _init_problem(TabularModel(1, (2,), (1,), 0.9, t, SupportBelief.point(0)))
+        search = _Search(prob, prob.initial_belief(), SolveParams())
+        search._expand(search.root)
+        stay = search.root.acts[0][1][0][2]  # its last observation differs from the root's
+        search._expand(stay)
+        assert stay.acts[0][1][0][2] is stay
+        search._backup(stay)
+        assert stay.lb == pytest.approx(1 / (1 - 0.9), abs=1e-12)  # one plain backup gives 1
+
+    def test_trial_that_expands_nothing_after_a_sweep_stalls(self):
+        prob = _init_problem(mactp_generate(MactpSpec(3, 2, 5, seed=29)))
+        b0 = prob.initial_belief()
+        res = solve(prob, b0, SolveParams(max_depth=1))
+        # trial 1 expands the root, trial 2 expands nothing and sweeps, trial 3 retraces it
+        assert (res.status, res.trials, res.expansions) == ("stalled", 3, 1)
+        assert not res.converged
+        assert res.lower_bound <= res.upper_bound
+        assert res.lower_bound == fsc_value_in(prob, res.fsc, b0)
 
 
 class TestPinnedSolve:
@@ -477,11 +496,11 @@ class TestPinnedSolve:
     CASES = {
         "mactp-3-2-5-init": (
             lambda: _init_problem(mactp_generate(MactpSpec(3, 2, 5, seed=29))),
-            "b357d77729ab9520713132a2a98ca8e8daf457dc1a55f16463b7fd8f04262b57",
+            "49a54c37a94abba27adc68b036ea05d5aa95bd644361643adbef5a4afb0e5c91",
         ),
         "collecting-3x3-a2-b1-br": (
             lambda: _br_problem(collecting_generate(CollectingSpec(3, 3, 2, 1, 5)), 5, 1),
-            "fe8c83e7d6665f7828fd741945aa49990b6674e6376bf8997efcf0b0eb619a9a",
+            "3490f00226d40dfea07093901282a133311d2e75bd37df7a7f9b6b1b849cfa69",
         ),
     }
 

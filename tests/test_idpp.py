@@ -43,6 +43,8 @@ class TestParams:
         ("mdp_tol", float("inf")),
         ("mdp_tol", 0.0),
         ("max_rounds", True),
+        ("state_cap", 0),
+        ("state_cap", True),
     ])
     def test_bad_value_is_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be"):
