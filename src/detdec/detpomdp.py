@@ -11,9 +11,11 @@ AND-OR search over these support beliefs:
   initial lower bound is the worst one-step reward annuity;
 * trials descend along upper-bound-greedy actions into the child with the
   largest weighted bound gap, expand one frontier node at a time, and back
-  bounds up the path (canonical beliefs are memoized, so the search graph
-  may contain loops; a sweep solves its strongly connected components
-  children first, each to its fixed point, and a self-loop in closed form);
+  bounds up the path, taking a self-loop once (canonical beliefs are
+  memoized, so the search graph may contain loops; a sweep visits only the
+  ancestors of nodes that changed since the last one and solves their
+  strongly connected components children first, each to its fixed point,
+  and a self-loop in closed form);
 * a controller is read out of the lower-bound-greedy choices, frontier
   branches are sealed with self-looping nodes that repeat the best
   fixed-action policy for that belief, and the finished controller is
@@ -241,18 +243,19 @@ def exact_belief_vi(m: BrDetPomdp, b0: SupportBelief, tol: float = 1e-9, cap: in
 
 
 class _Node:
-    __slots__ = ("belief", "lb", "ub", "acts", "terminal")
+    __slots__ = ("belief", "lb", "ub", "acts", "parents", "terminal")
 
     def __init__(self, belief: SupportBelief, lb: float, ub: float, terminal: bool) -> None:
         self.belief = belief
         self.lb = lb
         self.ub = ub
         self.acts = None  # per action: (expected reward, tuple[(obs, prob, child)])
+        self.parents = []  # expanded nodes with this one as a child, each once
         self.terminal = terminal
 
 
-def _expanded_children(node: _Node):
-    return (child for _, entries in node.acts for _, _, child in entries if child.acts is not None)
+def _marked_children(node: _Node, marked: set[int]):
+    return (child for _, entries in node.acts for _, _, child in entries if id(child) in marked)
 
 
 class _Search:
@@ -275,6 +278,8 @@ class _Search:
         self.expansions = 0
         self.trials = 0
         self.trace: list[tuple[int, float, float, int]] = []
+        # expanded nodes whose bounds or children changed since the last sweep
+        self.changed: list[_Node] = []
         self.started = time.perf_counter()
         self.root = self._node(b0)
 
@@ -298,9 +303,14 @@ class _Search:
             entries = []
             for obs, p, post, rcond in belief_successors(node.belief, a, self.m):
                 rbar += p * rcond
-                entries.append((obs, p, self._node(post)))
+                child = self._node(post)
+                # this expansion is the only one that appends `node`, so a repeat is the last entry
+                if not child.parents or child.parents[-1] is not node:
+                    child.parents.append(node)
+                entries.append((obs, p, child))
             acts.append((rbar, tuple(entries)))
         node.acts = acts
+        self.changed.append(node)
         self.expansions += 1
 
     def _backup(self, node: _Node) -> float:
@@ -342,20 +352,32 @@ class _Search:
     def _sweep(self) -> None:
         """Bring every expanded node's bounds to their fixed point.
 
-        Tarjan's algorithm (iterative: search graphs are deeper than the
-        recursion limit) emits the strongly connected components of the
-        expanded graph children first, so each component is solved once, on
-        final bounds below it: a single node by one backup, a larger
-        component by Gauss-Seidel passes until no bound moves by 1e-12.
+        Only the ancestors of the nodes in ``changed`` can be off their fixed
+        point, so the sweep marks them through ``parents`` and visits nothing
+        else (focused topological value iteration).  Tarjan's algorithm
+        (iterative: search graphs are deeper than the recursion limit) emits
+        the strongly connected components of the marked graph children first,
+        so each component is solved once, on final bounds below it: a single
+        node by one backup, a larger component by Gauss-Seidel passes until no
+        bound moves by 1e-12.  Changes the sweep itself makes are not recorded:
+        it leaves every marked node at its fixed point.
         """
-        root = self.root
-        if root.acts is None:
+        marked: set[int] = set()
+        pending = self.changed
+        while pending:
+            node = pending.pop()
+            if id(node) not in marked:
+                marked.add(id(node))
+                pending.extend(node.parents)
+        if not marked:
             return
+        # every expanded node descends from the root, which is thus marked too
+        root = self.root
         done = len(self.nodes)  # above every DFS number: a finished node lowers no link
         number = {id(root): 0}
         low = {id(root): 0}
         stack = [root]
-        calls = [(root, _expanded_children(root))]
+        calls = [(root, _marked_children(root, marked))]
         while calls:
             node, children = calls[-1]
             key = id(node)
@@ -364,7 +386,7 @@ class _Search:
                 if ckey not in number:
                     number[ckey] = low[ckey] = len(number)
                     stack.append(child)
-                    calls.append((child, _expanded_children(child)))
+                    calls.append((child, _marked_children(child, marked)))
                     break
                 low[key] = min(low[key], number[ckey])
             else:
@@ -401,20 +423,25 @@ class _Search:
         while True:
             if node.terminal or node.ub - node.lb <= thresh or depth >= self.max_depth:
                 break
-            if node.acts is None:
-                if self.expansions >= self.params.node_budget or self._over_time():
-                    break
-                self._expand(node)
-            path.append(node)
-            best_q = -float("inf")
-            best_entries = None
-            for rbar, entries in node.acts:
-                q = rbar
-                for _, p, child in entries:
-                    q += gamma * p * child.ub
-                if q > best_q:
-                    best_q = q
-                    best_entries = entries
+            # bounds hold still during a descent and a backup solves a self-loop
+            # in closed form, so a self-loop is taken once: the node keeps its
+            # action and is backed up once; only the child choice sees the
+            # larger threshold
+            if not path or path[-1] is not node:
+                if node.acts is None:
+                    if self.expansions >= self.params.node_budget or self._over_time():
+                        break
+                    self._expand(node)
+                path.append(node)
+                best_q = -float("inf")
+                best_entries = None
+                for rbar, entries in node.acts:
+                    q = rbar
+                    for _, p, child in entries:
+                        q += gamma * p * child.ub
+                    if q > best_q:
+                        best_q = q
+                        best_entries = entries
             next_thresh = thresh / gamma
             best_score = 0.0
             nxt = None
@@ -431,7 +458,8 @@ class _Search:
             depth += 1
             thresh = next_thresh
         for n in reversed(path):
-            self._backup(n)
+            if self._backup(n) > 0.0:
+                self.changed.append(n)
         self.trials += 1
 
     # --- controller extraction ------------------------------------------------
@@ -515,6 +543,7 @@ class _Search:
                     v_root = v
                 if v > bn.lb + _LB_EPS:
                     bn.lb = v  # achieved by an actual controller, hence sound
+                    self.changed.append(bn)
                     improved_bounds = True
             if v_root is None:
                 v_root = fsc_value_in(self.m, fsc, self.root.belief, fsc.initial_node, memo)
@@ -601,7 +630,8 @@ def solve(
     try:
         result = search.run()
     finally:
-        # child links close belief loops; without them refcounting frees the graph
+        # child and parent links close belief loops; without them refcounting frees the graph
         for node in search.nodes.values():
             node.acts = None
+            node.parents = None
     return result

@@ -347,6 +347,35 @@ class TestSolve:
         assert values.mean() >= res.lower_bound - 3 * se - trunc - 1e-6
 
 
+class TestTrial:
+    def test_self_loop_backed_up_once(self, monkeypatch):
+        # nearly every belief of this problem loops on itself under some action
+        prob = _init_problem(mactp_generate(MactpSpec(3, 2, 5, seed=29)))
+        backup, trial = _Search._backup, _Search._trial
+        per_trial: list[list[_Node]] = []
+        in_trial = [False]
+
+        def recording_trial(search):
+            per_trial.append([])
+            in_trial[0] = True
+            try:
+                trial(search)
+            finally:
+                in_trial[0] = False
+
+        def recording_backup(search, node):
+            if in_trial[0]:
+                per_trial[-1].append(node)
+            return backup(search, node)
+
+        monkeypatch.setattr(_Search, "_trial", recording_trial)
+        monkeypatch.setattr(_Search, "_backup", recording_backup)
+        solve(prob, prob.initial_belief(), SolveParams(epsilon=1e-3, node_budget=2000))
+        assert sum(map(len, per_trial)) > len(per_trial) > 1
+        for path in per_trial:
+            assert all(a is not b for a, b in zip(path, path[1:]))
+
+
 class TestSolveParamsValidation:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
@@ -437,6 +466,7 @@ class TestSweep:
         def reset():
             for node in expanded:
                 node.lb, node.ub = search.floor, upper_bound(node.belief, search.m)
+            search.changed.extend(expanded)
 
         reset()
         search._sweep()
@@ -446,6 +476,31 @@ class TestSweep:
         for (lb, ub), node in zip(swept, expanded):
             assert lb == pytest.approx(node.lb, abs=1e-9)
             assert ub == pytest.approx(node.ub, abs=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    def test_every_focused_sweep_matches_full_sweep(self, case, monkeypatch):
+        # each sweep of a run visits only the ancestors of changed nodes, and
+        # still lands where plain Gauss-Seidel over every expanded node does
+        focused = _Search._sweep
+        sweeps = [0]
+
+        def checked_sweep(search):
+            expanded = [n for n in search.nodes.values() if n.acts is not None]
+            before = [(n.lb, n.ub) for n in expanded]
+            focused(search)
+            swept = [(n.lb, n.ub) for n in expanded]
+            for node, bounds in zip(expanded, before):
+                node.lb, node.ub = bounds
+            _gauss_seidel(expanded[::-1], search.gamma, 1e-13)
+            for node, (lb, ub) in zip(expanded, swept):
+                assert lb == pytest.approx(node.lb, abs=1e-9)
+                assert ub == pytest.approx(node.ub, abs=1e-9)
+                node.lb, node.ub = lb, ub  # the run goes on from the focused result
+            sweeps[0] += 1
+
+        monkeypatch.setattr(_Search, "_sweep", checked_sweep)
+        _run_search(case)
+        assert sweeps[0] > 1
 
     @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
     def test_clean_nodes_hold_their_backup(self, case):
@@ -500,7 +555,7 @@ class TestPinnedSolve:
         ),
         "collecting-3x3-a2-b1-br": (
             lambda: _br_problem(collecting_generate(CollectingSpec(3, 3, 2, 1, 5)), 5, 1),
-            "3490f00226d40dfea07093901282a133311d2e75bd37df7a7f9b6b1b849cfa69",
+            "deecdacca9b20ec9c87722d7dd0cf4af40fa56097bf30030524074c489e27bda",
         ),
     }
 
