@@ -140,10 +140,14 @@ class BrDetPomdp:
         return self.model.is_terminal(self._ext[eid].state)
 
     def state_value_hint(self, eid: int) -> float | None:
-        """Fully-observable relaxation value of the underlying state, if known."""
+        """Upper bound from the fully-observable relaxation for the underlying state, if known.
+
+        It is the state's relaxation value widened by the table's
+        ``error_bound``, so it stays admissible however loose ``mdp_tol`` is.
+        """
         if self.value_table is None:
             return None
-        return self.value_table.value(self._ext[eid].state)
+        return self.value_table.value(self._ext[eid].state) + self.value_table.error_bound
 
     def reward_bounds(self) -> tuple[float, float]:
         return self.model.reward_bounds()

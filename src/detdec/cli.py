@@ -44,7 +44,9 @@ USER_ERRORS = (
     OSError, ValueError, MissingStateError, InstanceFormatError, PolicyFormatError, ResourceLimitError,
 )
 
-HISTORY_COLUMNS = ["round", "agent", "pre_value", "post_value", "accepted", "solver_nodes", "seconds"]
+HISTORY_COLUMNS = [
+    "round", "agent", "pre_value", "post_value", "accepted", "solver_status", "solver_nodes", "seconds",
+]
 
 BENCH_COLUMNS = [
     "kind", "instance", "family", "algo", "seed",
@@ -153,7 +155,7 @@ def write_history_csv(path: Path, history) -> None:
         for rec in history:
             writer.writerow([
                 rec.round, rec.agent, repr(rec.pre_value), repr(rec.post_value),
-                rec.accepted, rec.solver_expansions, repr(rec.seconds),
+                rec.accepted, rec.solver_status, rec.solver_expansions, repr(rec.seconds),
             ])
 
 

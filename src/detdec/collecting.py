@@ -156,9 +156,11 @@ class CollectingModel(DetDecModel):
         self._agents_card = self._agent_radix ** instance.agents
         self._flags_full = (1 << instance.boxes) - 1
         self._state_card = (self._agents_card << self._C) << instance.boxes
-        # transition_batch lookup arrays, built on first use; set here so that
+        # lookup arrays of the batch kernels, built on first use; set here so that
         # filling it keeps the instance's attribute layout (and scalar step speed)
         self._batch: tuple[np.ndarray, ...] | None = None
+        # initial_belief, built on first use for the same reason
+        self._initial_belief: SupportBelief | None = None
 
     # --- packing ---------------------------------------------------------
 
@@ -225,7 +227,10 @@ class CollectingModel(DetDecModel):
 
     def _build_batch_tables(self) -> tuple[np.ndarray, ...]:
         """Per free index and action, the free index moved to (-1: WAIT, wall or
-        obstacle); per free index, its goal's flag bit (0 off goals); joint actions."""
+        obstacle); per free index, its goal's flag bit (0 off goals); joint
+        actions; per free index and cell of its 3x3 patch, the cell's free
+        index (-1: wall or obstacle), box-bit shift and static render code;
+        the base-5 digit of each patch cell."""
         target = np.full((self._C, ACTION_COUNT), -1, dtype=np.int64)
         for f, cell in enumerate(self._free):
             for a, delta in enumerate(self._delta):
@@ -235,15 +240,40 @@ class CollectingModel(DetDecModel):
             dtype=np.int64,
         )
         joint = np.array(self.joint_actions(), dtype=np.int64).T  # (agents, joint actions)
-        return target, goal_bit, joint
+        patch = np.array([[self._fidx.get(c, -1) for c in self._around[cell]] for cell in self._free],
+                         dtype=np.int64)
+        # a shift of 63 reads no box bit, which keeps boxes off walls and obstacles
+        box_shift = np.where(patch >= 0, patch, 63)
+        patch_base = np.array([[self._base[c] for c in self._around[cell]] for cell in self._free],
+                              dtype=np.int64)
+        digits = 5 ** np.arange(patch.shape[1], dtype=np.int64)
+        return target, goal_bit, joint, patch, box_shift, patch_base, digits
+
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        if self._batch is None:
+            self._batch = self._build_batch_tables()
+        return self._batch
 
     def transition_batch(self, states):
         states = checked_state_ids(states, self._state_card)
-        if self._batch is None:
-            self._batch = self._build_batch_tables()
-        target, goal_bit, joint = self._batch
+        joint = self._tables()[2]
+        return self._advance(states[:, None], joint)
+
+    def step_batch(self, states, joint_actions):
+        states = checked_state_ids(states, self._state_card)
+        actions = self.checked_joint_actions(joint_actions, len(states))
+        succ, reward = self._advance(states, actions.T)
+        return succ, self._observe_batch(succ), reward
+
+    def _advance(self, states: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
+        """The move rules of ``transition_only`` over arrays: (successors, rewards).
+
+        ``actions[i]`` is agent ``i``'s action array; it broadcasts against
+        ``states``, which sets the shape of the result.
+        """
+        target, goal_bit = self._tables()[:2]
         n_flags = self._flags_full + 1
-        high, flags = np.divmod(states[:, None], n_flags)
+        high, flags = np.divmod(states, n_flags)
         code, boxmask = np.divmod(high, 1 << self._C)
         fidx, carry = [], []
         for _ in range(self.agent_count):
@@ -252,9 +282,9 @@ class CollectingModel(DetDecModel):
             carry.append(agent_slot & 1)
         # agents in order, as in transition_only, each seeing the cells of
         # the agents that moved before it
-        reward = np.zeros((len(states), joint.shape[1]))
+        reward = np.zeros(np.broadcast_shapes(states.shape, np.shape(actions[0])))
         for i in range(self.agent_count):
-            to = target[fidx[i], joint[i]]
+            to = target[fidx[i], actions[i]]
             moves = to >= 0
             for j in range(self.agent_count):
                 if j != i:
@@ -273,8 +303,8 @@ class CollectingModel(DetDecModel):
             new_code = new_code + (fidx[i] * 2 + carry[i]) * self._agent_radix**i
         succ = ((new_code << self._C) | boxmask) * n_flags + flags
         # every goal filled: absorbing at reward 0
-        done = states[:, None] % n_flags == self._flags_full
-        return np.where(done, states[:, None], succ), np.where(done, 0.0, reward)
+        done = states % n_flags == self._flags_full
+        return np.where(done, states, succ), np.where(done, 0.0, reward)
 
     def _observe(self, state: int) -> tuple[int, ...]:
         """Joint observation of arriving in ``state``: each agent's rendered 3x3 patch."""
@@ -298,7 +328,34 @@ class CollectingModel(DetDecModel):
             obs.append(code)
         return tuple(obs)
 
+    def _observe_batch(self, states: np.ndarray) -> np.ndarray:
+        """``_observe`` over an array of states: one row per state, one column per agent."""
+        patch, box_shift, patch_base, digits = self._tables()[3:]
+        high = states // (self._flags_full + 1)
+        code, boxmask = np.divmod(high, 1 << self._C)
+        boxmask = boxmask[:, None]
+        fidx = []
+        for _ in range(self.agent_count):
+            code, agent_slot = np.divmod(code, self._agent_radix)
+            fidx.append(agent_slot >> 1)
+        columns = [f[:, None] for f in fidx]
+        obs = np.empty((len(states), self.agent_count), dtype=np.int64)
+        for i, f in enumerate(fidx):
+            cells = patch[f]  # (states, 9) free indices, -1 off the free cells
+            occupied = cells == columns[0]
+            for other in columns[1:]:
+                occupied |= cells == other
+            boxed = (boxmask >> box_shift[f] & 1) == 1
+            kind = np.where(occupied, AGENT_CODE, np.where(boxed, BOX_CODE, patch_base[f]))
+            obs[:, i] = kind @ digits
+        return obs
+
     def initial_belief(self):
+        if self._initial_belief is None:
+            self._initial_belief = self._build_initial_belief()
+        return self._initial_belief
+
+    def _build_initial_belief(self) -> SupportBelief:
         pairs = []
         for perm in sorted(itertools.permutations(self.instance.start_cells)):
             for combo in itertools.combinations(self.instance.box_domain, self.instance.boxes):
@@ -311,6 +368,10 @@ class CollectingModel(DetDecModel):
     def is_terminal(self, state):
         self._check_state(state)
         return state % (self._flags_full + 1) == self._flags_full
+
+    def terminal_batch(self, states):
+        states = checked_state_ids(states, self._state_card)
+        return states % (self._flags_full + 1) == self._flags_full
 
     def reward_bounds(self):
         return (0.0, DELIVERY_REWARD * self.agent_count)

@@ -2,30 +2,57 @@
 
 Everything downstream of the initial state is deterministic, so the
 discounted return from one initial state is the return of a single infinite
-trajectory.  That trajectory lives in the finite product space
-(environment state, all controller nodes) and therefore eventually repeats;
-following it to the first repeat gives the exact return in closed form:
-prefix sum plus a geometric cycle tail.  The exact policy value is the
-belief-weighted sum of those per-atom returns.
+trajectory through *points* (environment state, all controller nodes).  The
+point space is finite, so every trajectory ends in a terminal state or in a
+cycle.
+
+Both evaluators advance all their points in lockstep: one
+``model.step_batch`` call per frontier or time step, with each controller
+held as arrays (``FscArrays``).  Exact evaluation finds the trajectory graph
+frontier by frontier, then values it from its ends back: 0 at a terminal
+point, the closed-form cycle sum on a cycle, ``r + gamma * V(next)``
+elsewhere.  A point's value is a fixed function of the graph, so the order
+in which points are found or valued does not change a float.  The policy
+value is the belief-weighted sum of the atoms' values, added up in atom
+order.
 
 Monte Carlo evaluation draws initial states from the belief and truncates
-at a horizon; since per-atom rollouts are deterministic they are computed
-once per distinct atom and shared across episodes.
+at a horizon; since per-atom rollouts are deterministic, each distinct
+sampled atom is rolled out once, as one lane of a lockstep rollout that a
+lane leaves when it reaches a terminal state.  The sampled atoms are those
+a binary search over the cumulative weights gives, found mostly by bucket.
 """
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Callable, Hashable, TypeVar
+from math import prod
+from typing import Callable, Hashable, Iterable, TypeVar
 
 import numpy as np
 
-from .errors import require_int_at_least
-from .fsc import JointPolicy
-from .model import DetDecModel, TransitionCache
+from .errors import ResourceLimitError, require_int_at_least
+from .fsc import FscArrays, JointPolicy
+from .model import DetDecModel, merge_new_ids, require_int64_state_ids
 from .rng import stream_seed
 
 X = TypeVar("X")
+
+
+def cycle_value(ahead: Iterable, gamma: float, length: int):
+    """Closed-form value of repeating a reward cycle of ``length`` forever.
+
+    ``ahead`` yields the rewards 0, 1, ..., ``length - 1`` steps on from the
+    start: floats, or arrays that value many starts at once with the same
+    float operations in the same order.
+    """
+    s = 0.0
+    g = 1.0
+    for reward in ahead:
+        s = s + g * reward
+        g *= gamma
+    return s / (1.0 - gamma**length)
 
 
 def trajectory_value(
@@ -57,17 +84,11 @@ def trajectory_value(
             break
         p = seen.get(key)
         if p is not None:
-            # first repeat: positions p.. form a cycle of length L
+            # first repeat: positions p.. form a cycle
             cycle = path_rewards[p:]
             length = len(cycle)
-            denom = 1.0 - gamma**length
-            for off in range(length):
-                s = 0.0
-                g = 1.0
-                for t in range(length):
-                    s += g * cycle[(off + t) % length]
-                    g *= gamma
-                memo[path_keys[p + off]] = s / denom
+            for off, cycle_key in enumerate(path_keys[p:]):
+                memo[cycle_key] = cycle_value(cycle[off:] + cycle[:off], gamma, length)
             tail = memo[path_keys[p]]
             del path_keys[p:]
             del path_rewards[p:]
@@ -84,61 +105,172 @@ def trajectory_value(
     return acc
 
 
-def _check_compatible(model: DetDecModel, policy: JointPolicy) -> None:
+def _controller_arrays(model: DetDecModel, policy: JointPolicy) -> list[FscArrays]:
+    """Each controller as arrays, once its every action is checked against the model."""
     if policy.agent_count != model.agent_count:
         raise ValueError(
             f"policy has {policy.agent_count} controllers, model has {model.agent_count} agents"
         )
+    for agent, (fsc, k) in enumerate(zip(policy.controllers, model.action_space_sizes)):
+        for index, node in enumerate(fsc.nodes):
+            if not 0 <= node.action < k:
+                raise ValueError(f"agent {agent} node {index}: action {node.action} outside [0, {k})")
+    return [FscArrays(fsc) for fsc in policy.controllers]
+
+
+def _atom_states(belief) -> np.ndarray:
+    """The belief's atom ids as an int64 array, checked to fit in it."""
+    require_int64_state_ids(belief.states[-1])
+    return np.array(belief.states, dtype=np.int64)
+
+
+def _lockstep_step(model, controllers, states, nodes):
+    """One step of every row: (successor states, successor nodes per agent, rewards)."""
+    actions = np.stack([c.actions[n] for c, n in zip(controllers, nodes)], axis=1)
+    succ, obs, rewards = model.step_batch(states, actions)
+    nodes = [c.advance(n, obs[:, i]) for i, (c, n) in enumerate(zip(controllers, nodes))]
+    return succ, nodes, rewards
+
+
+def _trajectory_graph(model, controllers, roots: np.ndarray):
+    """Every point reachable from ``(root, initial nodes)``: its successor row and reward.
+
+    A point ``(state, nodes)`` is packed as ``state * J + joint node code``,
+    ``J`` the product of the controller sizes.  Rows are ordered frontier by
+    frontier, each frontier by packed id, so ``roots`` (ascending) come
+    first.  A terminal point's successor row is -1.
+    """
+    sizes = [c.actions.size for c in controllers]
+    joint = prod(sizes)
+    radix = [prod(sizes[:i]) for i in range(len(sizes))]
+    state_bound = 2**63 // joint  # packed ids of states below it fit in int64
+
+    def pack(states, nodes):
+        if states.size and int(states.max()) >= state_bound:
+            raise ResourceLimitError(
+                f"evaluation point ids of state {int(states.max())} with {joint} joint controller "
+                "nodes pass the int64 bound 2**63 - 1"
+            )
+        code = states * joint
+        for r, n in zip(radix, nodes):
+            code = code + n * r
+        return code
+
+    frontier = pack(roots, [np.full(roots.size, c.initial_node, dtype=np.int64) for c in controllers])
+    known = frontier  # sorted ids of every point found so far
+    layers, successors, rewards = [], [], []
+    while frontier.size:
+        states, code = np.divmod(frontier, joint)
+        live = ~model.terminal_batch(states)
+        nodes = [code[live] // r % k for r, k in zip(radix, sizes)]
+        succ, nodes, reward = _lockstep_step(model, controllers, states[live], nodes)
+        nxt = np.full(frontier.size, -1, dtype=np.int64)
+        nxt[live] = pack(succ, nodes)
+        rew = np.zeros(frontier.size)
+        rew[live] = reward
+        layers.append(frontier)
+        successors.append(nxt)
+        rewards.append(rew)
+        frontier, known = merge_new_ids(known, nxt[live])
+
+    order = np.argsort(np.concatenate(layers))  # order[k] is the row of known[k]
+    nxt = np.concatenate(successors)
+    live = nxt >= 0
+    nxt[live] = order[np.searchsorted(known, nxt[live])]
+    return nxt, np.concatenate(rewards)
+
+
+def _graph_values(nxt: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """Exact value of every point of a trajectory graph (successor row -1: terminal).
+
+    Peeling points no other point leads to, layer by layer, leaves the
+    cycles; cycle points take the closed form, and the peeled layers are
+    then valued in reverse, each point after its successor.
+    """
+    indegree = np.bincount(nxt[nxt >= 0], minlength=nxt.size)
+    peeled = []
+    layer = np.flatnonzero(indegree == 0)
+    while layer.size:
+        peeled.append(layer)
+        targets = nxt[layer]
+        targets, counts = np.unique(targets[targets >= 0], return_counts=True)
+        indegree[targets] -= counts
+        layer = targets[indegree[targets] == 0]
+
+    values = np.zeros(nxt.size)
+    succ = nxt.tolist()
+    cycles = defaultdict(list)  # by length
+    seen = set()
+    for start in np.flatnonzero(indegree > 0).tolist():
+        if start in seen:
+            continue  # found with an earlier point of its cycle
+        cycle = [start]
+        row = succ[start]
+        while row != start:
+            cycle.append(row)
+            row = succ[row]
+        seen.update(cycle)
+        cycles[len(cycle)].append(cycle)
+    for length, group in cycles.items():
+        rows = np.array(group)  # one cycle per row, each entry followed by the next
+        offsets = np.arange(length)
+        ahead = (rewards[rows[:, (offsets + t) % length]] for t in range(length))
+        values[rows] = cycle_value(ahead, gamma, length)
+    for layer in reversed(peeled):
+        layer = layer[nxt[layer] >= 0]
+        values[layer] = rewards[layer] + gamma * values[nxt[layer]]
+    return values
 
 
 def exact_value(model: DetDecModel, policy: JointPolicy) -> float:
     """Exact discounted value of the joint policy from the initial belief."""
-    _check_compatible(model, policy)
+    controllers = _controller_arrays(model, policy)
     belief = model.initial_belief()
-    cache = TransitionCache(model)
-    controllers = policy.controllers
-
-    def step_fn(point):
-        state, nodes = point
-        acts = tuple(c.nodes[n].action for c, n in zip(controllers, nodes))
-        s2, obs, reward = cache.step(state, acts)
-        nodes2 = tuple(c.advance(n, o) for c, n, o in zip(controllers, nodes, obs))
-        return (s2, nodes2), reward
-
-    def terminal_fn(point):
-        return model.is_terminal(point[0])
-
-    init_nodes = policy.initial_nodes()
-    memo: dict = {}
+    roots = _atom_states(belief)
+    values = _graph_values(*_trajectory_graph(model, controllers, roots), model.discount)
     total = 0.0
-    for (state, _), weight in zip(belief.atoms, belief.float_weights):
-        total += weight * trajectory_value(
-            (state, init_nodes), step_fn, lambda x: x, terminal_fn, model.discount, memo
-        )
+    for weight, value in zip(belief.float_weights, values[: roots.size].tolist()):
+        total += weight * value
     return total
 
 
-def _truncated_return(
-    model: DetDecModel,
-    cache: TransitionCache,
-    policy: JointPolicy,
-    state,
-    horizon: int,
-) -> float:
-    controllers = policy.controllers
-    nodes = policy.initial_nodes()
+def _truncated_returns(model, controllers, states: np.ndarray, horizon: int) -> np.ndarray:
+    """Discounted return of the first ``horizon`` steps from each state, all rolled out at once."""
     gamma = model.discount
-    total = 0.0
+    totals = np.zeros(states.size)
+    lanes = np.arange(states.size)
+    nodes = [np.full(states.size, c.initial_node, dtype=np.int64) for c in controllers]
     g = 1.0
     for _ in range(horizon):
-        if model.is_terminal(state):
-            break
-        acts = tuple(c.nodes[n].action for c, n in zip(controllers, nodes))
-        state, obs, reward = cache.step(state, acts)
-        total += g * reward
+        live = ~model.terminal_batch(states)
+        if not live.all():
+            lanes, states = lanes[live], states[live]
+            nodes = [n[live] for n in nodes]
+            if not lanes.size:
+                break
+        states, nodes, rewards = _lockstep_step(model, controllers, states, nodes)
+        totals[lanes] += g * rewards
         g *= gamma
-        nodes = tuple(c.advance(n, o) for c, n, o in zip(controllers, nodes, obs))
-    return total
+    return totals
+
+
+def _bins(cum: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, draws, side="right")`` for draws in [0, 1), bucket first.
+
+    Draws fall into a power-of-two number of equal buckets, found exactly by
+    scaling.  A bucket that no entry of ``cum`` splits gives all its draws
+    the same bin; only draws in split buckets take a binary search, which
+    is slow on unsorted draws.  There are at least 16 buckets per entry of
+    ``cum`` unless draws are fewer than entries, so about one draw in 16 or
+    fewer takes the search.
+    """
+    buckets = 1 << (16 * min(cum.size, draws.size)).bit_length()
+    first = np.searchsorted(cum, np.arange(buckets + 1) / buckets, side="right")
+    bucket = (draws * buckets).astype(np.int64)
+    idx = first[bucket]
+    split = first[bucket + 1] != idx
+    idx[split] = np.searchsorted(cum, draws[split], side="right")
+    return idx
 
 
 def mc_value(
@@ -154,21 +286,19 @@ def mc_value(
     sampled atom.  Fully reproducible from ``seed``.  Returns
     (mean, standard error of the mean).
     """
-    _check_compatible(model, policy)
+    controllers = _controller_arrays(model, policy)
     require_int_at_least("episodes", episodes, 1)
     require_int_at_least("horizon", horizon, 1)
     belief = model.initial_belief()
     rng = np.random.default_rng(stream_seed(seed, "mc-eval"))
     cum = np.cumsum(np.asarray(belief.float_weights))
     cum[-1] = 1.0  # guard against float drift in the last bin
-    draws = rng.random(episodes)
-    idx = np.searchsorted(cum, draws, side="right")
+    idx = _bins(cum, rng.random(episodes))
 
-    cache = TransitionCache(model)
-    returns = np.empty(len(belief))
-    returns.fill(np.nan)
-    for i in np.unique(idx):
-        returns[i] = _truncated_return(model, cache, policy, belief.atoms[i][0], horizon)
+    sampled = np.flatnonzero(np.bincount(idx, minlength=len(belief)))
+    states = _atom_states(belief)
+    returns = np.full(len(belief), np.nan)
+    returns[sampled] = _truncated_returns(model, controllers, states[sampled], horizon)
     samples = returns[idx]
     if episodes == 1:
         warnings.warn("mc_value with a single episode: standard error degenerates to 0")

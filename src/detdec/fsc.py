@@ -4,11 +4,16 @@ A controller node carries one action and a partial observation-to-node
 transition map; observations missing from the map go to the node's fallback
 successor (by default the node itself), so execution is total even on
 observations never reached during planning.
+
+``FscArrays`` holds a controller as arrays, to advance many executions of
+it at once.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import PolicyFormatError
 
@@ -80,6 +85,52 @@ class Fsc:
 
     def __repr__(self) -> str:
         return f"Fsc({len(self.nodes)} nodes, initial={self.initial_node})"
+
+
+_INT64_MAX = 2**63 - 1
+
+
+class FscArrays:
+    """Array view of a controller: action and fallback per node, transitions as sorted keys.
+
+    A transition ``(node, obs) -> target`` is keyed ``node * len(observations)
+    + rank``, where ``rank`` is the position of ``obs`` in ``observations``,
+    the sorted distinct observations the controller maps.  Keys of different
+    nodes therefore never alias, whatever the observation values.  Observations
+    beyond int64 are left out: no array of observations can hold them.
+    """
+
+    __slots__ = ("initial_node", "actions", "fallback", "observations", "keys", "targets")
+
+    def __init__(self, fsc: Fsc) -> None:
+        nodes = fsc.nodes
+        self.initial_node = fsc.initial_node
+        self.actions = np.array([n.action for n in nodes], dtype=np.int64)
+        self.fallback = np.array([n.fallback for n in nodes], dtype=np.int64)
+        edges = [
+            (index, obs, target)
+            for index, n in enumerate(nodes)
+            for obs, target in n.transitions.items()
+            if obs <= _INT64_MAX
+        ]
+        index, obs, target = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+        self.observations, rank = np.unique(obs, return_inverse=True)
+        keys = index * self.observations.size + rank
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.targets = target[order]
+
+    def advance(self, nodes: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """Successor node per row, as ``Fsc.advance(nodes[r], obs[r])``."""
+        fallback = self.fallback[nodes]
+        if not self.keys.size:
+            return fallback
+        width = self.observations.size
+        rank = np.minimum(np.searchsorted(self.observations, obs), width - 1)
+        key = nodes * width + rank
+        at = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
+        hit = (self.observations[rank] == obs) & (self.keys[at] == key)
+        return np.where(hit, self.targets[at], fallback)
 
 
 class JointPolicy:

@@ -12,8 +12,9 @@ Limit errors (``ResourceLimitError``, ``MissingStateError``) are recorded
 as ``error:<Name>`` iterations; any other exception propagates.
 
 Accept/converge decisions use exact evaluation (deterministic models make
-it cheap: one closed-form rollout per initial atom), never Monte Carlo, so
-acceptance cannot oscillate on sampling noise.
+it cheap: one closed-form trajectory per initial atom, all atoms advanced
+in lockstep), never Monte Carlo, so acceptance cannot oscillate on sampling
+noise.
 """
 from __future__ import annotations
 

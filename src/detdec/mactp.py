@@ -152,7 +152,7 @@ class MactpModel(DetDecModel):
         self._pos_card = pos_code_card
         self._done_full = (1 << instance.agents) - 1
         self._state_card = pos_code_card << (self._n_edges + instance.agents)
-        # transition_batch lookup arrays, built on first use; set here so that
+        # lookup arrays of the batch kernels, built on first use; set here so that
         # filling it keeps the instance's attribute layout (and scalar step speed)
         self._batch: tuple[np.ndarray, ...] | None = None
         # initial_belief, built on first use for the same reason
@@ -219,10 +219,12 @@ class MactpModel(DetDecModel):
         return self.pack(pos, bits, new_dones), reward
 
     def _build_batch_tables(self) -> tuple[np.ndarray, ...]:
-        """Per (vertex - 1, action): move target - 1, edge weight, blocking bit; joint actions.
+        """Per (vertex - 1, action): move target - 1, edge weight, blocking bit;
+        joint actions; per (vertex - 1, mask slot): the blockage bit shown there.
 
         WAIT and missing edges stay put at weight 0; a deterministic edge has
         blocking bit 0, so ``bits & bit`` is non-zero exactly when blocked.
+        Unused mask slots hold bit 0 and never show as blocked.
         """
         m = self._m
         target = np.repeat(np.arange(m, dtype=np.int64)[:, None], ACTION_COUNT, axis=1)
@@ -237,25 +239,46 @@ class MactpModel(DetDecModel):
                     if bit is not None:
                         block_bit[v - 1, a] = 1 << bit
         joint = np.array(self.joint_actions(), dtype=np.int64).T  # (agents, joint actions)
-        return target, weight, block_bit, joint
+        shown = np.zeros((m, 4), dtype=np.int64)
+        for v in range(1, m + 1):
+            for slot, bit in enumerate(self._incident[v]):
+                shown[v - 1, slot] = 1 << bit
+        return target, weight, block_bit, joint, shown
+
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        if self._batch is None:
+            self._batch = self._build_batch_tables()
+        return self._batch
 
     def transition_batch(self, states):
         states = checked_state_ids(states, self._state_card)
-        if self._batch is None:
-            self._batch = self._build_batch_tables()
-        target, weight, block_bit, joint = self._batch
+        joint = self._tables()[3]
+        return self._advance(states[:, None], joint)
+
+    def step_batch(self, states, joint_actions):
+        states = checked_state_ids(states, self._state_card)
+        actions = self.checked_joint_actions(joint_actions, len(states))
+        succ, reward = self._advance(states, actions.T)
+        return succ, self._observe_batch(succ), reward
+
+    def _advance(self, states: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
+        """The move rules of ``transition_only`` over arrays: (successors, rewards).
+
+        ``actions[i]`` is agent ``i``'s action array; it broadcasts against
+        ``states``, which sets the shape of the result.
+        """
+        target, weight, block_bit, _, _ = self._tables()
         high, code = np.divmod(states, self._pos_card)
-        bits = (high & self._bits_mask)[:, None]
-        dones = (high >> self._n_edges)[:, None]
+        bits = high & self._bits_mask
+        dones = high >> self._n_edges
         # agents in order, as in transition_only; arrived agents are frozen,
         # so an all-arrived state stays put at reward 0
-        reward = np.zeros((len(states), joint.shape[1]))
+        reward = np.zeros(np.broadcast_shapes(states.shape, np.shape(actions[0])))
         new_dones = dones
         new_code = 0
         for i in range(self.agent_count):
             code, p = np.divmod(code, self._m)
-            p = p[:, None]
-            a = joint[i]
+            a = actions[i]
             active = (dones >> i & 1) == 0
             moves = active & ((bits & block_bit[p, a]) == 0)
             reward -= np.where(moves, weight[p, a], 0)
@@ -281,6 +304,20 @@ class MactpModel(DetDecModel):
             obs.append(base + mask)
         return tuple(obs)
 
+    def _observe_batch(self, states: np.ndarray) -> np.ndarray:
+        """``_observe`` over an array of states: one row per state, one column per agent."""
+        shown = self._tables()[4]
+        high, code = np.divmod(states, self._pos_card)
+        bits = (high & self._bits_mask)[:, None]
+        base = code * _OBS_MASK_RADIX
+        slot_values = 1 << np.arange(shown.shape[1], dtype=np.int64)
+        obs = np.empty((len(states), self.agent_count), dtype=np.int64)
+        for i in range(self.agent_count):
+            code, p = np.divmod(code, self._m)
+            blocked = (bits & shown[p]) != 0
+            obs[:, i] = base + blocked @ slot_values
+        return obs
+
     def initial_belief(self):
         if self._initial_belief is None:
             self._initial_belief = self._build_initial_belief()
@@ -301,6 +338,10 @@ class MactpModel(DetDecModel):
     def is_terminal(self, state):
         self._check_state(state)
         return state // (self._pos_card << self._n_edges) == self._done_full
+
+    def terminal_batch(self, states):
+        states = checked_state_ids(states, self._state_card)
+        return states // (self._pos_card << self._n_edges) == self._done_full
 
     def reward_bounds(self):
         worst_move = max(self._weights) if self._weights else 0

@@ -24,6 +24,7 @@ from .model import (
     StateId,
     SupportBelief,
     enumerate_joint_actions,
+    merge_new_ids,
     require_int64_state_ids,
 )
 
@@ -56,6 +57,18 @@ class MdpValueTable:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def error_bound(self) -> float:
+        """How far ``values`` may lie from the optimal values: ``residual / (1 - gamma)``.
+
+        Value iteration stops at a Bellman residual, not at the fixed point.
+        In exact arithmetic ``gamma * residual / (1 - gamma)`` bounds the
+        distance; one residual more also covers the rounding of the sweeps
+        (on a one-state model earning 1 per step at gamma 0.9 the tighter
+        bound lands 7e-15 below the exact value).
+        """
+        return self.residual / (1.0 - self.gamma)
 
 
 @dataclass
@@ -139,16 +152,9 @@ def _reachable_tables(
             rows = slice(start + lo, start + lo + chunk)
             succ[rows], rewards[rows] = model.transition_batch(frontier[lo : lo + chunk])
         layers.append(frontier)
-        # sorted unique ids; np.unique is avoided because numpy 2's hashing
-        # unique ran about 18x slower than this sort on 5M ids
-        found = np.sort(succ[start:], axis=None)
-        found = found[np.concatenate(([True], found[1:] != found[:-1]))]
-        at = np.searchsorted(known, found)
-        seen = known[np.minimum(at, known.size - 1)] == found
-        frontier = found[~seen]
-        if known.size + frontier.size > state_cap:
+        frontier, known = merge_new_ids(known, succ[start:])
+        if known.size > state_cap:
             raise ResourceLimitError(f"reachable state set exceeds state_cap={state_cap}")
-        known = np.insert(known, at[~seen], frontier)
 
     states = np.concatenate(layers)
     order = np.argsort(states)  # order[k] is the row of known[k]

@@ -6,9 +6,11 @@ over packed integer states, never materialized as transition matrices
 the move rules; ``step`` adds the joint observation, which in both
 benchmarks is rendered from the successor state alone.
 ``transition_batch`` is the same dynamics over an array of states and
-every joint action at once, for the relaxation's reachability pass.  The
-only probabilistic object in the whole system is the initial belief, held
-as an explicit support with integer weights.
+every joint action at once, for the relaxation's reachability pass;
+``step_batch`` is ``step`` over arrays of states and one joint action per
+row, for policy evaluation.  The only probabilistic object in the whole
+system is the initial belief, held as an explicit support with integer
+weights.
 """
 from __future__ import annotations
 
@@ -48,6 +50,23 @@ def checked_state_ids(states, state_card: int) -> np.ndarray:
     if states.size and not (0 <= states.min() and states.max() < state_card):
         raise ValueError(f"state ids outside [0, {state_card})")
     return states
+
+
+def merge_new_ids(known: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct ``ids`` missing from ``known``, sorted; ``known`` with them merged in).
+
+    ``known`` is a sorted int64 array.  The sorted unique is a sort plus an
+    adjacent compare, not ``np.unique``: numpy 2's hashing unique ran about
+    18x slower than this sort on 5M ids.
+    """
+    found = np.sort(ids, axis=None)
+    distinct = np.ones(found.size, dtype=bool)
+    distinct[1:] = found[1:] != found[:-1]
+    found = found[distinct]
+    at = np.searchsorted(known, found)
+    seen = known[np.minimum(at, known.size - 1)] == found
+    new = found[~seen]
+    return new, np.insert(known, at[~seen], new)
 
 
 class SupportBelief:
@@ -153,6 +172,10 @@ class DetDecModel(abc.ABC):
       * ``transition_batch`` equals ``transition_only`` row by row: entry
         ``[r, j]`` of its two tables is ``transition_only(states[r], a_j)``
         for the ``j``-th joint action in ``joint_actions()`` order.
+      * ``step_batch`` equals ``step`` row by row: row ``r`` of its
+        successors, observations and rewards is
+        ``step(states[r], tuple(joint_actions[r]))``; ``terminal_batch``
+        equals ``is_terminal`` entry by entry.
       * Terminal states are absorbing: ``step`` returns the same state with
         reward 0 under every joint action.
       * Uncertainty exists only in ``initial_belief``.
@@ -203,6 +226,32 @@ class DetDecModel(abc.ABC):
                 succ[row, col], rewards[row, col] = self.transition_only(s, a)
         return succ, rewards
 
+    def step_batch(
+        self, states: np.ndarray, joint_actions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(successors int64 ``(n,)``, observations int64 ``(n, agents)``, rewards float64 ``(n,)``).
+
+        ``joint_actions`` holds one joint action per row of ``states``.
+        Environments override this with array code; this default loops over
+        ``step`` and serves table-backed models.
+        """
+        states = np.asarray(states, dtype=np.int64)
+        actions = self.checked_joint_actions(joint_actions, len(states))
+        succ = np.empty(len(states), dtype=np.int64)
+        obs = np.empty((len(states), self.agent_count), dtype=np.int64)
+        rewards = np.empty(len(states))
+        for row, (s, a) in enumerate(zip(states.tolist(), actions.tolist())):
+            succ[row], obs[row], rewards[row] = self.step(s, tuple(a))
+        return succ, obs, rewards
+
+    def terminal_batch(self, states: np.ndarray) -> np.ndarray:
+        """``is_terminal`` over an array of states, as a bool array.
+
+        Environments override this with array code; this default loops.
+        """
+        states = np.asarray(states, dtype=np.int64)
+        return np.fromiter(map(self.is_terminal, states.tolist()), dtype=bool, count=len(states))
+
     def descriptor(self) -> dict:
         """JSON-serializable document the instance can be rebuilt from."""
         raise NotImplementedError(f"{type(self).__name__} has no descriptor form")
@@ -228,6 +277,18 @@ class DetDecModel(abc.ABC):
         for i, (a, k) in enumerate(zip(action, self.action_space_sizes)):
             if not 0 <= a < k:
                 raise ValueError(f"action {a} for agent {i} outside [0, {k})")
+
+    def checked_joint_actions(self, joint_actions, rows: int) -> np.ndarray:
+        """``joint_actions`` as an int64 ``(rows, agent_count)`` array, checked as ``check_action`` does."""
+        actions = np.asarray(joint_actions, dtype=np.int64)
+        if actions.shape != (rows, self.agent_count):
+            raise ValueError(f"joint actions of shape {actions.shape}, expected {(rows, self.agent_count)}")
+        if rows:
+            low, high = actions.min(axis=0).tolist(), actions.max(axis=0).tolist()
+            for i, k in enumerate(self.action_space_sizes):
+                if not (0 <= low[i] and high[i] < k):
+                    raise ValueError(f"action for agent {i} outside [0, {k})")
+        return actions
 
 
 class TransitionCache:

@@ -63,8 +63,11 @@ class TestSolve:
         assert report["converged"] is True
         assert report["final_value"] >= report["init_value"] - 1e-12
         with open(out / "history.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == HISTORY_COLUMNS
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == HISTORY_COLUMNS
+        assert "solver_status" in HISTORY_COLUMNS
+        statuses = {"converged", "node_budget", "time_budget", "stalled"}
+        assert all(row["solver_status"] in statuses for row in rows)
 
     def test_init_only_skips_loop(self, tmp_path):
         inst = _gen_instance(tmp_path)

@@ -18,7 +18,9 @@ from detdec import (
     CollectingSpec,
     default_policy,
     exact_belief_vi,
+    exact_value,
     fsc_value_in,
+    JointPolicy,
     mactp_generate,
     MactpSpec,
     solve,
@@ -31,7 +33,7 @@ from detdec.rng import SplitMix64, stream_seed
 
 import numpy as np
 
-from helpers import random_joint_policy, tiny_mactp
+from helpers import random_joint_policy, selfloop_model, tiny_mactp
 
 
 def _init_problem(model):
@@ -171,6 +173,16 @@ class TestBounds:
         b0 = prob.initial_belief()
         assert upper_bound(b0, prob) == 0.0
         assert best_fixed_action(b0, prob)[0] == 0.0
+
+    def test_root_upper_bound_covers_value_iteration_error(self):
+        # one state earning 1 per step at gamma 0.9; value iteration stops
+        # short of the fixed point, at its residual
+        model = selfloop_model(reward=1.0, gamma=0.9)
+        prob = _init_problem(model)
+        exact = exact_value(model, JointPolicy([Fsc([FscNode(0)])]))
+        assert exact == 10.000000000000002 and prob.value_table.value(0) < exact
+        search = _Search(prob, prob.initial_belief(), SolveParams())
+        assert search.root.ub >= exact
 
     def test_best_fixed_action_is_achievable(self):
         m = tiny_mactp(agents=1, probs=(Fraction(1, 2),))

@@ -1,22 +1,188 @@
+import numpy as np
 import pytest
 
 from detdec import (
+    CollectingSpec,
     Fsc,
     FscNode,
     JointPolicy,
+    ResourceLimitError,
     SupportBelief,
     TabularModel,
+    TransitionCache,
+    collecting_generate,
     evaluate,
     exact_value,
     mc_value,
     mactp_generate,
     MactpSpec,
 )
-from detdec.rng import SplitMix64
+from detdec.evaluation import _bins, trajectory_value
+from detdec.rng import SplitMix64, stream_seed
 
-from helpers import chain_model, random_joint_policy, selfloop_model, tiny_mactp
+from helpers import chain_model, observation_pool, random_joint_policy, selfloop_model, tiny_mactp
 
 WAIT_POLICY_1 = JointPolicy([Fsc([FscNode(0)])])
+
+
+# --- the scalar evaluators the lockstep array ones replaced: one atom, one step at a time
+
+
+def _scalar_exact_value(model, policy):
+    belief = model.initial_belief()
+    cache = TransitionCache(model)
+    controllers = policy.controllers
+
+    def step_fn(point):
+        state, nodes = point
+        acts = tuple(c.nodes[n].action for c, n in zip(controllers, nodes))
+        s2, obs, reward = cache.step(state, acts)
+        nodes2 = tuple(c.advance(n, o) for c, n, o in zip(controllers, nodes, obs))
+        return (s2, nodes2), reward
+
+    memo: dict = {}
+    total = 0.0
+    for (state, _), weight in zip(belief.atoms, belief.float_weights):
+        total += weight * trajectory_value(
+            (state, policy.initial_nodes()), step_fn, lambda x: x,
+            lambda point: model.is_terminal(point[0]), model.discount, memo,
+        )
+    return total
+
+
+def _scalar_mc_value(model, policy, episodes, horizon, seed):
+    belief = model.initial_belief()
+    cum = np.cumsum(np.asarray(belief.float_weights))
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, np.random.default_rng(stream_seed(seed, "mc-eval")).random(episodes), side="right")
+    cache = TransitionCache(model)
+    returns = np.full(len(belief), np.nan)
+    for i in np.unique(idx):
+        state = belief.atoms[i][0]
+        nodes = policy.initial_nodes()
+        total, g = 0.0, 1.0
+        for _ in range(horizon):
+            if model.is_terminal(state):
+                break
+            acts = tuple(c.nodes[n].action for c, n in zip(policy.controllers, nodes))
+            state, obs, reward = cache.step(state, acts)
+            total += g * reward
+            g *= model.discount
+            nodes = tuple(c.advance(n, o) for c, n, o in zip(policy.controllers, nodes, obs))
+        returns[i] = total
+    samples = returns[idx]
+    if np.all(samples == samples[0]):
+        return float(samples[0]), 0.0
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(episodes))
+
+
+def _far_key_fsc(model, agent, rng, nodes=4):
+    """Random controller with fallbacks and keys at and above the agent's observation bound.
+
+    Node ``k`` maps ``bound + o`` for observations ``o`` that node ``k + 1``
+    maps elsewhere, so packing keys as ``node * bound + obs`` would alias
+    them; one key lies beyond int64.
+    """
+    bound = model.observation_space_sizes[agent]
+    pool = observation_pool(model, agent, rng)
+    table = []
+    for _ in range(nodes):
+        table.append({pool[rng.randbelow(len(pool))]: rng.randbelow(nodes) for _ in range(3)})
+    for k in range(nodes):
+        for obs in table[(k + 1) % nodes]:
+            table[k][bound + obs] = rng.randbelow(nodes)
+        table[k][bound] = rng.randbelow(nodes)
+    table[0][2**70] = 1 % nodes
+    return Fsc(
+        [FscNode(rng.randbelow(model.action_space_sizes[agent]), t, rng.randbelow(nodes)) for t in table],
+        rng.randbelow(nodes),
+    )
+
+
+def _tabular_cases():
+    terminal = TabularModel(
+        1, (1,), (1,), 0.95,
+        {(0, (0,)): (1, (0,), 0.0), (1, (0,)): (2, (0,), 0.0), (2, (0,)): (3, (0,), 500.0)},
+        SupportBelief.point(0), frozenset({3}),
+    )
+    # period 3 with distinct rewards, entered at every phase and from a prefix state
+    period = TabularModel(
+        1, (1,), (3,), 0.5,
+        {(0, (0,)): (1, (1,), 1.0), (1, (0,)): (2, (2,), 2.0), (2, (0,)): (0, (0,), 4.0),
+         (3, (0,)): (1, (1,), 8.0)},
+        SupportBelief.from_pairs([(0, 1), (1, 2), (2, 3), (3, 4)]),
+    )
+    return [
+        (selfloop_model(gamma=0.9), WAIT_POLICY_1),
+        (terminal, WAIT_POLICY_1),
+        (period, JointPolicy([Fsc([FscNode(0, {1: 1}), FscNode(0, {0: 0}, 0)])])),
+        (period, WAIT_POLICY_1),
+        (chain_model(), JointPolicy([Fsc([FscNode(1, {1: 1}), FscNode(0, {}, 0)])])),
+    ]
+
+
+def _random_cases():
+    rng = SplitMix64(77)
+    cases = []
+    for model in (
+        mactp_generate(MactpSpec(3, 2, 4, seed=6)),
+        tiny_mactp(agents=2),
+        collecting_generate(CollectingSpec(3, 3, 2, 1, seed=5)),
+    ):
+        for _ in range(4):
+            cases.append((model, random_joint_policy(model, rng, max_nodes=4)))
+        cases.append((model, JointPolicy(_far_key_fsc(model, i, rng) for i in range(model.agent_count))))
+    return cases
+
+
+class TestAgainstScalarEvaluation:
+    """The lockstep evaluators give the very floats of the scalar ones."""
+
+    CASES = _tabular_cases() + _random_cases()
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_exact_value_is_identical(self, case):
+        model, policy = self.CASES[case]
+        assert exact_value(model, policy) == _scalar_exact_value(model, policy)
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_mc_value_is_identical(self, case):
+        model, policy = self.CASES[case]
+        for horizon in (1, 7, 60):
+            got = mc_value(model, policy, episodes=300, horizon=horizon, seed=case)
+            assert got == _scalar_mc_value(model, policy, 300, horizon, case)
+
+    def test_bins_match_binary_search(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 30, 4096):
+            weights = rng.integers(1, 10, n).astype(float)
+            cum = np.cumsum(weights / weights.sum())
+            cum[-1] = 1.0
+            draws = np.concatenate([rng.random(20_000), cum[:-1], np.arange(1024) / 1024, [np.nextafter(1.0, 0)]])
+            assert (_bins(cum, draws) == np.searchsorted(cum, draws, side="right")).all()
+        cum = np.array([1 / 8, 0.25, 0.25, 0.5, 1.0])  # entries on bucket edges, one repeated
+        draws = np.arange(1024) / 1024
+        assert (_bins(cum, draws) == np.searchsorted(cum, draws, side="right")).all()
+
+    def test_out_of_range_action_names_agent_and_node(self):
+        model = tiny_mactp(agents=2, probs=())
+        policy = JointPolicy([Fsc([FscNode(4)]), Fsc([FscNode(0), FscNode(5)])])
+        for evaluator in (exact_value, lambda m, p: mc_value(m, p, episodes=10)):
+            with pytest.raises(ValueError, match="agent 1 node 1: action 5 outside"):
+                evaluator(model, policy)
+
+    def test_point_ids_beyond_int64_are_a_limit_error(self):
+        state = 2**62
+        model = TabularModel(1, (1,), (1,), 0.9, {(state, (0,)): (state, (0,), 1.0)}, SupportBelief.point(state))
+        assert exact_value(model, WAIT_POLICY_1) == _scalar_exact_value(model, WAIT_POLICY_1)
+        two_nodes = JointPolicy([Fsc([FscNode(0), FscNode(0)])])
+        with pytest.raises(ResourceLimitError, match="int64"):
+            exact_value(model, two_nodes)
+        state = 2**64
+        beyond = TabularModel(1, (1,), (1,), 0.9, {(state, (0,)): (state, (0,), 1.0)}, SupportBelief.point(state))
+        for evaluator in (exact_value, lambda m, p: mc_value(m, p, episodes=10)):
+            with pytest.raises(ResourceLimitError, match="int64"):
+                evaluator(beyond, WAIT_POLICY_1)
 
 
 class TestExactValue:

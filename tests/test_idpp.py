@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,6 @@ class TestSolveFailures:
         code = main(["solve", str(inst), "--out", str(tmp_path / "run"),
                      "--node-budget", "1500", "--max-rounds", "3", "--episodes", "0"])
         assert code == EXIT_BUDGET
+        with open(tmp_path / "run" / "history.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["solver_status"] == "error:ResourceLimitError" for row in rows)

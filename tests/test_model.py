@@ -38,6 +38,23 @@ def _assert_batch_matches_scalar(model, states):
             assert (int(succ[row, col]), float(rewards[row, col])) == model.transition_only(s, a)
 
 
+def _assert_step_batch_matches_scalar(model, states):
+    """``step_batch`` on every (state, joint action) row against ``step``; ``terminal_batch``
+    against ``is_terminal``."""
+    joint = model.joint_actions()
+    rows = [(s, a) for s in states for a in joint]
+    succ, obs, rewards = model.step_batch(
+        np.array([s for s, _ in rows], dtype=np.int64), np.array([a for _, a in rows], dtype=np.int64)
+    )
+    assert succ.dtype == obs.dtype == np.int64 and rewards.dtype == np.float64
+    assert succ.shape == rewards.shape == (len(rows),) and obs.shape == (len(rows), model.agent_count)
+    for row, (s, a) in enumerate(rows):
+        got = (int(succ[row]), tuple(int(o) for o in obs[row]), float(rewards[row]))
+        assert got == model.step(s, a)
+    terminal = model.terminal_batch(np.array(states, dtype=np.int64))
+    assert terminal.dtype == bool and terminal.tolist() == [model.is_terminal(s) for s in states]
+
+
 MACTP, COLLECTING = _small_benchmark_models()  # property-test instances
 # an endpoint of the first stochastic edge, for an agent facing it while it is blocked
 _EDGE_END = grid_edges(3)[MACTP.instance.stochastic[0]][0]
@@ -221,6 +238,39 @@ class TestBatchKernel:
     def test_out_of_range_state_is_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             MACTP.transition_batch(np.array([-1]))
+
+    def test_step_batch_on_reachable_pairs_of_small_benchmarks(self):
+        for model in _small_benchmark_models():
+            _assert_step_batch_matches_scalar(model, sorted(value_iteration(model).states))
+
+    def test_step_batch_default_loops_over_step(self):
+        _assert_step_batch_matches_scalar(chain_model(), [0, 1, 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mactp_states)
+    @example([MACTP.pack((9, 9), 0, 3), MACTP.pack((1, 5), 5, 3)])  # all arrived: absorbing
+    @example([MACTP.pack((_EDGE_END, 1), 1, 0), MACTP.pack((1, _EDGE_END), 2**4 - 1, 1)])  # blocked
+    def test_step_batch_mactp_random_states(self, states):
+        _assert_step_batch_matches_scalar(MACTP, states)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_collecting_states)
+    @example([COLLECTING.pack(_PAIR, (0, 1), 0b1011, 1)])  # all delivered: absorbing
+    @example([COLLECTING.pack(_PAIR, (1, 0), 0b0110, 0), COLLECTING.pack(_PAIR[::-1], (0, 0), 0, 0)])  # collide
+    def test_step_batch_collecting_random_states(self, states):
+        _assert_step_batch_matches_scalar(COLLECTING, states)
+
+    @pytest.mark.parametrize("model", _small_benchmark_models(), ids=["mactp", "collecting"])
+    def test_step_batch_rejects_out_of_range_input(self, model):
+        s0 = model.initial_belief().states[0]
+        with pytest.raises(ValueError, match="outside"):
+            model.step_batch(np.array([-1]), np.zeros((1, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="outside"):
+            model.terminal_batch(np.array([s0, -1]))
+        with pytest.raises(ValueError, match="agent 1 outside"):
+            model.step_batch(np.array([s0]), np.array([[0, 5]]))
+        with pytest.raises(ValueError, match="shape"):
+            model.step_batch(np.array([s0]), np.array([[0]]))
 
 
 class TestPinnedDynamics:
