@@ -19,12 +19,26 @@ Two variants share the construction:
 Extended states are interned lazily into dense integer ids; the product
 space is far too large to enumerate up front, and interning keeps belief
 atoms cheap to hash, order, and compare.
+
+``step`` moves one extended state under one own action.  ``step_actions``
+moves a whole belief's atoms under every own action in one batched call:
+interning records each extended state's row in the relaxation table, so
+the successors and rewards are gathers on that table's ``succ`` and
+``rewards``, the joint observation is the model's ``observation_batch`` and
+the other agents' nodes advance through ``FscArrays``.  Its rows equal
+``step``'s, and it interns new successors in row order, the order in which
+``step`` calls would meet them.
 """
 from __future__ import annotations
 
+from itertools import repeat
+from math import prod
 from typing import NamedTuple
 
-from .fsc import JointPolicy
+import numpy as np
+
+from .errors import MissingStateError
+from .fsc import FscArrays, JointPolicy
 from .mdp import MdpPolicy, MdpValueTable
 from .model import DetDecModel, StateId, SupportBelief, TransitionCache
 
@@ -70,6 +84,20 @@ class BrDetPomdp:
         self._ids: dict[ExtState, int] = {}
         self._ext: list[ExtState] = []
         self._step_memo: dict[int, tuple[int, int, float]] = {}
+        # batched steps: the joint action index is own * stride + the others' part
+        sizes = model.action_space_sizes
+        self._stride = prod(sizes[agent + 1 :])
+        self._joint_actions = np.array(model.joint_actions(), dtype=np.int64)
+        if other_controllers is not None:
+            self._other_arrays = [
+                (j, FscArrays.checked(other_controllers[j], j, sizes[j]), prod(sizes[j + 1 :]))
+                for j in self.others
+            ]
+            self._table = value_table  # without one, batched steps call model.step_batch
+        else:
+            self._table = default_policy.table  # the table the default policy's rows index
+        # per interned state: its environment state's row in ``_table``, -1 if uncovered
+        self._rows: list[int] = []
 
     # --- interning ---------------------------------------------------------
 
@@ -79,6 +107,8 @@ class BrDetPomdp:
             eid = len(self._ext)
             self._ids[ext] = eid
             self._ext.append(ext)
+            if self._table is not None:
+                self._rows.append(self._table.state_index.get(ext.state, -1))
         return eid
 
     def ext(self, eid: int) -> ExtState:
@@ -123,6 +153,72 @@ class BrDetPomdp:
         result = (self.intern(ExtState(s2, nodes2, own)), own, reward)
         self._step_memo[key] = result
         return result
+
+    def step_actions(self, eids) -> list[tuple[int, int, float]]:
+        """``step`` of every state in ``eids`` under every own action, in one batch.
+
+        Row ``a * len(eids) + k`` is ``step(eids[k], a)``: rows are
+        action-major and atom-minor, and new successors are interned in row
+        order.  A state outside the relaxation table raises
+        ``MissingStateError``.
+        """
+        n = len(eids)
+        ext = self._ext
+        table = self._table
+        own = np.arange(n * self.action_count)
+        atom = own % n  # the atom of each row
+        own //= n
+        if table is not None:
+            rows = np.array([self._rows[e] for e in eids], dtype=np.int64)
+            if n and rows.min() < 0:
+                state = ext[eids[int(np.argmin(rows))]].state
+                raise MissingStateError(f"state {state} not covered by the value table")
+            rows = rows[atom]
+        if self._controllers is not None:
+            nodes = np.array([ext[e].other_nodes for e in eids], dtype=np.int64)
+            nodes = nodes.reshape(n, len(self.others))[atom]
+            others = sum(
+                arrays.actions[nodes[:, i]] * stride for i, (_, arrays, stride) in enumerate(self._other_arrays)
+            )
+        else:
+            # the default joint action without its own-agent part
+            greedy = self._default_policy.greedy[rows]
+            others = greedy - greedy // self._stride % self.action_count * self._stride
+        joint = own * self._stride + others
+        if table is not None:
+            succ_rows = table.succ[rows, joint]
+            rewards = table.rewards[rows, joint]
+            successors = table.state_ids[succ_rows]
+            obs = self.model.observation_batch(table.state_ids[rows], self._joint_actions[joint], successors)
+            succ_rows = succ_rows.tolist()
+        else:
+            states = np.array([ext[e].state for e in eids], dtype=np.int64)[atom]
+            successors, obs, rewards = self.model.step_batch(states, self._joint_actions[joint])
+        own_obs = obs[:, self.agent].tolist()
+        if self._controllers is not None and self.others:
+            nodes2 = zip(*[
+                arrays.advance(nodes[:, i], obs[:, j]).tolist()
+                for i, (j, arrays, _) in enumerate(self._other_arrays)
+            ])
+        else:
+            nodes2 = repeat(())
+        ids = self._ids
+        succ_ids = []
+        for k, key in enumerate(zip(successors.tolist(), nodes2, own_obs)):
+            eid = ids.get(key)  # an ExtState hashes and compares as its plain tuple
+            if eid is None:
+                eid = len(ext)
+                key = ExtState(*key)
+                ids[key] = eid
+                ext.append(key)
+                if table is not None:
+                    self._rows.append(succ_rows[k])
+            succ_ids.append(eid)
+        out = list(zip(succ_ids, own_obs, rewards.tolist()))
+        # the search's controller evaluations step these states again, one at a time
+        keys = np.array(eids, dtype=np.int64)[atom] * self.action_count + own
+        self._step_memo.update(zip(keys.tolist(), out))
+        return out
 
     def initial_belief(self) -> SupportBelief:
         """One-to-one lift of the model's initial belief to extended states."""

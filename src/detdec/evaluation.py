@@ -111,11 +111,10 @@ def _controller_arrays(model: DetDecModel, policy: JointPolicy) -> list[FscArray
         raise ValueError(
             f"policy has {policy.agent_count} controllers, model has {model.agent_count} agents"
         )
-    for agent, (fsc, k) in enumerate(zip(policy.controllers, model.action_space_sizes)):
-        for index, node in enumerate(fsc.nodes):
-            if not 0 <= node.action < k:
-                raise ValueError(f"agent {agent} node {index}: action {node.action} outside [0, {k})")
-    return [FscArrays(fsc) for fsc in policy.controllers]
+    return [
+        FscArrays.checked(fsc, agent, k)
+        for agent, (fsc, k) in enumerate(zip(policy.controllers, model.action_space_sizes))
+    ]
 
 
 def _atom_states(belief) -> np.ndarray:

@@ -120,6 +120,14 @@ class FscArrays:
         self.keys = keys[order]
         self.targets = target[order]
 
+    @classmethod
+    def checked(cls, fsc: Fsc, agent: int, action_count: int) -> "FscArrays":
+        """The arrays of agent ``agent``'s controller, once every node's action is in ``[0, action_count)``."""
+        for index, node in enumerate(fsc.nodes):
+            if not 0 <= node.action < action_count:
+                raise ValueError(f"agent {agent} node {index}: action {node.action} outside [0, {action_count})")
+        return cls(fsc)
+
     def advance(self, nodes: np.ndarray, obs: np.ndarray) -> np.ndarray:
         """Successor node per row, as ``Fsc.advance(nodes[r], obs[r])``."""
         fallback = self.fallback[nodes]

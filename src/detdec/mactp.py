@@ -259,7 +259,10 @@ class MactpModel(DetDecModel):
         states = checked_state_ids(states, self._state_card)
         actions = self.checked_joint_actions(joint_actions, len(states))
         succ, reward = self._advance(states, actions.T)
-        return succ, self._observe_batch(succ), reward
+        return succ, self.observation_batch(states, actions, succ), reward
+
+    def observation_batch(self, states, joint_actions, successors):
+        return self._observe_batch(successors)
 
     def _advance(self, states: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
         """The move rules of ``transition_only`` over arrays: (successors, rewards).

@@ -15,6 +15,8 @@ states are found by sorted-array membership against the known set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
 from .errors import MissingStateError, ResourceLimitError, require_int_at_least, require_positive_finite
@@ -57,6 +59,11 @@ class MdpValueTable:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def state_ids(self) -> np.ndarray:
+        """``states`` as an int64 array, to map successor rows to states by a gather."""
+        return np.array(self.states, dtype=np.int64)
 
     @property
     def error_bound(self) -> float:

@@ -8,9 +8,10 @@ benchmarks is rendered from the successor state alone.
 ``transition_batch`` is the same dynamics over an array of states and
 every joint action at once, for the relaxation's reachability pass;
 ``step_batch`` is ``step`` over arrays of states and one joint action per
-row, for policy evaluation.  The only probabilistic object in the whole
-system is the initial belief, held as an explicit support with integer
-weights.
+row, for policy evaluation; ``observation_batch`` is its observation part
+alone, for callers that already hold the successors.  The only
+probabilistic object in the whole system is the initial belief, held as an
+explicit support with integer weights.
 """
 from __future__ import annotations
 
@@ -176,6 +177,9 @@ class DetDecModel(abc.ABC):
         successors, observations and rewards is
         ``step(states[r], tuple(joint_actions[r]))``; ``terminal_batch``
         equals ``is_terminal`` entry by entry.
+      * ``observation_batch(states, joint_actions, successors)``, given the
+        successors ``step_batch`` finds for those rows, equals its
+        observations row by row.
       * Terminal states are absorbing: ``step`` returns the same state with
         reward 0 under every joint action.
       * Uncertainty exists only in ``initial_belief``.
@@ -243,6 +247,18 @@ class DetDecModel(abc.ABC):
         for row, (s, a) in enumerate(zip(states.tolist(), actions.tolist())):
             succ[row], obs[row], rewards[row] = self.step(s, tuple(a))
         return succ, obs, rewards
+
+    def observation_batch(
+        self, states: np.ndarray, joint_actions: np.ndarray, successors: np.ndarray
+    ) -> np.ndarray:
+        """Observations int64 ``(n, agents)`` of the rows of ``step_batch(states, joint_actions)``.
+
+        ``successors`` are those rows' successors; the rows are not checked
+        again.  Environments whose observation is rendered from the successor
+        alone override this; this default steps the rows again and serves
+        models whose observation depends on the action.
+        """
+        return self.step_batch(states, joint_actions)[1]
 
     def terminal_batch(self, states: np.ndarray) -> np.ndarray:
         """``is_terminal`` over an array of states, as a bool array.

@@ -16,6 +16,7 @@ from detdec import (
     SupportBelief,
     TabularModel,
     collecting_generate,
+    enumerate_joint_actions,
     mactp_generate,
 )
 from detdec.rng import SplitMix64
@@ -74,6 +75,42 @@ def chain_model(gamma: float = 0.95, length: int = 3, goal_reward: float = 500.0
         transitions=transitions,
         belief=SupportBelief.point(0),
         terminal=frozenset({last}),
+    )
+
+
+def zero_reward_model() -> TabularModel:
+    """Two states, one agent; each action's observation names the action, not the state."""
+    t = {
+        (0, (0,)): (1, (0,), 0.0),
+        (0, (1,)): (0, (1,), 0.0),
+        (1, (0,)): (0, (0,), 0.0),
+        (1, (1,)): (1, (1,), 0.0),
+    }
+    return TabularModel(1, (2,), (2,), 0.9, t, SupportBelief.from_pairs([(0, 1), (1, 1)]))
+
+
+def action_obs_model(states: int = 12, gamma: float = 0.9) -> TabularModel:
+    """Three agents with 2, 3 and 2 actions on ``states`` cells; the last cell is terminal.
+
+    Each agent observes its own action and the parity of the successor, so
+    an observation cannot be rendered from the successor alone.  The initial
+    belief covers every cell, with distinct weights.
+    """
+    sizes = (2, 3, 2)
+    transitions = {}
+    for s in range(states - 1):
+        for a in enumerate_joint_actions(sizes):
+            s2 = (3 * s + 1 + a[0] + 2 * a[1] + 5 * a[2]) % states
+            obs = tuple(2 * ai + s2 % 2 for ai in a)
+            transitions[(s, a)] = (s2, obs, (7 * s2 + a[0] + a[1]) % 5 - 1.5)
+    return TabularModel(
+        agent_count=3,
+        action_space_sizes=sizes,
+        observation_space_sizes=(4, 6, 4),
+        discount=gamma,
+        transitions=transitions,
+        belief=SupportBelief.from_pairs([(s, s + 1) for s in range(states)]),
+        terminal=frozenset({states - 1}),
     )
 
 

@@ -3,24 +3,29 @@ from fractions import Fraction
 import pytest
 
 from detdec import (
+    CollectingSpec,
     Fsc,
     FscNode,
     JointPolicy,
     MissingStateError,
     build_br_detpomdp,
+    belief_successors,
     build_init_detpomdp,
+    collecting_generate,
     default_policy,
     exact_belief_vi,
     exact_value,
     fsc_value_in,
     mactp_generate,
     MactpSpec,
+    SolveParams,
     value_iteration,
 )
+from detdec.detpomdp import _BATCH_MIN_ATOMS, _Search
 from detdec.model import SupportBelief
 from detdec.rng import SplitMix64
 
-from helpers import random_joint_policy, small_instances, tiny_mactp
+from helpers import action_obs_model, random_joint_policy, small_instances, tiny_mactp, zero_reward_model
 
 
 def _mdp_policy(model):
@@ -52,6 +57,13 @@ class TestConstruction:
             assert ext.state == s and w == ws
             assert ext.other_nodes == (policy.controllers[1].initial_node,)
             assert ext.last_obs == br.start_obs
+
+    def test_other_controller_action_out_of_range(self):
+        m = tiny_mactp(agents=2, probs=())
+        policy = JointPolicy([Fsc([FscNode(4)]), Fsc([FscNode(4), FscNode(5)])])
+        with pytest.raises(ValueError, match="agent 1 node 1: action 5 outside"):
+            build_br_detpomdp(m, policy, 0)
+        build_br_detpomdp(m, policy, 1)  # an agent's own controller is not stepped
 
     def test_init_model_has_no_node_components(self):
         m = mactp_generate(MactpSpec(2, 2, 2, seed=2))
@@ -178,3 +190,110 @@ class TestValueConsistency:
                 assert got == pytest.approx(joint, abs=1e-9)
                 checked += 1
         assert checked >= 12
+
+
+def _interned(prob):
+    return [prob.ext(e) for e in range(prob.interned_count)]
+
+
+def _draw(pool, size, rng):
+    """Up to ``size`` distinct ids from ``pool``, ascending like belief atoms."""
+    return sorted({pool[rng.randbelow(len(pool))] for _ in range(size)})
+
+
+def _parity_problems():
+    """Factories of the problems the batched step must match, by name; each call builds a fresh one."""
+    models = {
+        "mactp": mactp_generate(MactpSpec(3, 2, 4, seed=3)),
+        "collecting": collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3)),
+        "action-obs": action_obs_model(),
+        "zero-reward": zero_reward_model(),
+    }
+    cases = {}
+    for name, model in models.items():
+        table, pi = _mdp_policy(model)
+        policy = random_joint_policy(model, SplitMix64(11))
+        for agent in range(model.agent_count):
+            cases[f"{name}-a{agent}-init"] = (lambda m=model, a=agent, p=pi: build_init_detpomdp(m, a, p))
+            cases[f"{name}-a{agent}-br"] = (
+                lambda m=model, a=agent, p=policy, t=table: build_br_detpomdp(m, p, a, value_table=t)
+            )
+            cases[f"{name}-a{agent}-br-no-table"] = (lambda m=model, a=agent, p=policy: build_br_detpomdp(m, p, a))
+    return cases
+
+
+PARITY = _parity_problems()
+
+
+class TestStepActions:
+    """``step_actions`` against scalar ``step`` on twin problems, one stepped each way."""
+
+    @pytest.mark.parametrize("case", sorted(PARITY))
+    def test_rows_and_interning_match_scalar_steps(self, case):
+        batched, scalar = PARITY[case](), PARITY[case]()
+        pool = list(batched.initial_belief().states)
+        assert scalar.initial_belief().states == tuple(pool)
+        rng = SplitMix64(5)
+        count = batched.action_count
+        for size in (1, 3, _BATCH_MIN_ATOMS - 1, _BATCH_MIN_ATOMS, 2 * _BATCH_MIN_ATOMS) * 4:
+            eids = _draw(pool, size, rng)
+            rows = batched.step_actions(eids)
+            assert rows == [scalar.step(e, a) for a in range(count) for e in eids]
+            # same extended states under the same ids, interned in the same order
+            assert _interned(batched) == _interned(scalar)
+            # the scalar step of the batched problem agrees with its rows
+            assert rows == [batched.step(e, a) for a in range(count) for e in eids]
+            pool.extend(e for e, _, _ in rows if e not in pool)
+
+    @pytest.mark.parametrize("case", sorted(PARITY))
+    def test_expansion_matches_belief_successors(self, case):
+        batched, scalar = PARITY[case](), PARITY[case]()
+        pool = list(batched.initial_belief().states)
+        scalar.initial_belief()
+        rng = SplitMix64(9)
+        for e in list(pool):  # a larger pool, interned alike in both problems
+            for a in range(batched.action_count):
+                for prob in (batched, scalar):
+                    e2 = prob.step(e, a)[0]
+                if e2 not in pool:
+                    pool.append(e2)
+        for size in (3, _BATCH_MIN_ATOMS - 1, _BATCH_MIN_ATOMS, 3 * _BATCH_MIN_ATOMS) * 3:
+            eids = _draw(pool, size, rng)
+            belief = SupportBelief([(e, 1 + rng.randbelow(9)) for e in eids])
+            search = _Search(batched, belief, SolveParams())
+            search._expand(search.root)
+            for a, (rbar, entries) in enumerate(search.root.acts):
+                expected = belief_successors(belief, a, scalar)
+                assert [(obs, p, child.belief) for obs, p, child in entries] == [
+                    (obs, p, post) for obs, p, post, _ in expected
+                ]
+                total = 0.0
+                for _, p, _, rcond in expected:
+                    total += p * rcond
+                assert rbar == total
+            assert _interned(batched) == _interned(scalar)
+
+    def test_state_outside_the_table_is_named(self):
+        m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
+        # a table covering what one initial state reaches leaves other initial states out
+        sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
+        policy = random_joint_policy(m, SplitMix64(11))
+        for prob in (build_br_detpomdp(m, policy, 0, value_table=sub), build_init_detpomdp(m, 1, default_policy(sub, m))):
+            eids = list(prob.initial_belief().states)
+            missing = next(prob.ext(e).state for e in eids if prob.ext(e).state not in sub)
+            with pytest.raises(MissingStateError, match=f"state {missing} not covered"):
+                prob.step_actions(eids)
+
+    def test_init_problem_steps_by_the_default_policy_table(self):
+        # the default policy's rows index its own table, not the value table given for hints
+        m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
+        table, pi = _mdp_policy(m)
+        sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
+        assert len(sub) < len(table)
+        batched = build_init_detpomdp(m, 0, pi, value_table=sub)
+        scalar = build_init_detpomdp(m, 0, pi, value_table=sub)
+        eids = list(batched.initial_belief().states)
+        scalar.initial_belief()
+        rows = batched.step_actions(eids)
+        assert rows == [scalar.step(e, a) for a in range(batched.action_count) for e in eids]
+        assert _interned(batched) == _interned(scalar)

@@ -33,7 +33,7 @@ from detdec.rng import SplitMix64, stream_seed
 
 import numpy as np
 
-from helpers import random_joint_policy, selfloop_model, tiny_mactp
+from helpers import random_joint_policy, selfloop_model, tiny_mactp, zero_reward_model
 
 
 def _init_problem(model):
@@ -43,14 +43,7 @@ def _init_problem(model):
 
 
 def _zero_reward_problem():
-    t = {
-        (0, (0,)): (1, (0,), 0.0),
-        (0, (1,)): (0, (1,), 0.0),
-        (1, (0,)): (0, (0,), 0.0),
-        (1, (1,)): (1, (1,), 0.0),
-    }
-    m = TabularModel(1, (2,), (2,), 0.9, t, SupportBelief.from_pairs([(0, 1), (1, 1)]))
-    return _init_problem(m)
+    return _init_problem(zero_reward_model())
 
 
 class TestBeliefSuccessors:

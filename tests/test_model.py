@@ -18,7 +18,7 @@ from detdec import (
 )
 from detdec.mactp import grid_edges
 
-from helpers import absorbing_model, chain_model, selfloop_model
+from helpers import absorbing_model, action_obs_model, chain_model, selfloop_model
 
 
 def _small_benchmark_models():
@@ -53,6 +53,16 @@ def _assert_step_batch_matches_scalar(model, states):
         assert got == model.step(s, a)
     terminal = model.terminal_batch(np.array(states, dtype=np.int64))
     assert terminal.dtype == bool and terminal.tolist() == [model.is_terminal(s) for s in states]
+
+
+def _assert_observation_batch_matches_step_batch(model, states):
+    """``observation_batch`` on every (state, joint action) row against ``step_batch``'s observations."""
+    rows = [(s, a) for s in states for a in model.joint_actions()]
+    states = np.array([s for s, _ in rows], dtype=np.int64)
+    actions = np.array([a for _, a in rows], dtype=np.int64)
+    succ, obs, _ = model.step_batch(states, actions)
+    got = model.observation_batch(states, actions, succ)
+    assert got.dtype == np.int64 and got.tolist() == obs.tolist()
 
 
 MACTP, COLLECTING = _small_benchmark_models()  # property-test instances
@@ -259,6 +269,23 @@ class TestBatchKernel:
     @example([COLLECTING.pack(_PAIR, (1, 0), 0b0110, 0), COLLECTING.pack(_PAIR[::-1], (0, 0), 0, 0)])  # collide
     def test_step_batch_collecting_random_states(self, states):
         _assert_step_batch_matches_scalar(COLLECTING, states)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_mactp_states)
+    @example([MACTP.pack((_EDGE_END, 1), 1, 0), MACTP.pack((1, _EDGE_END), 2**4 - 1, 1)])  # blocked
+    def test_observation_batch_mactp_random_states(self, states):
+        _assert_observation_batch_matches_step_batch(MACTP, states)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_collecting_states)
+    @example([COLLECTING.pack(_PAIR, (1, 0), 0b0110, 0), COLLECTING.pack(_PAIR[::-1], (0, 0), 0, 0)])  # collide
+    def test_observation_batch_collecting_random_states(self, states):
+        _assert_observation_batch_matches_step_batch(COLLECTING, states)
+
+    def test_observation_batch_default_steps_again(self):
+        # a TabularModel whose observations depend on the action, not on the successor alone
+        model = action_obs_model()
+        _assert_observation_batch_matches_step_batch(model, range(len(model.initial_belief())))
 
     @pytest.mark.parametrize("model", _small_benchmark_models(), ids=["mactp", "collecting"])
     def test_step_batch_rejects_out_of_range_input(self, model):
