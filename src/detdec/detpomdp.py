@@ -14,8 +14,9 @@ AND-OR search over these support beliefs:
   bounds up the path, taking a self-loop once (canonical beliefs are
   memoized, so the search graph may contain loops; a sweep visits only the
   ancestors of nodes that changed since the last one and solves their
-  strongly connected components children first, each to its fixed point,
-  and a self-loop in closed form);
+  strongly connected components children first, each to its fixed point:
+  a single node in closed form, a larger component by Gauss-Seidel passes
+  that policy iteration finishes);
 * a controller is read out of the lower-bound-greedy choices, frontier
   branches are sealed with self-looping nodes that repeat the best
   fixed-action policy for that belief, and the finished controller is
@@ -275,6 +276,34 @@ def _marked_children(node: _Node, marked: set[int]):
     return (child for _, entries in node.acts for _, _, child in entries if id(child) in marked)
 
 
+def _policy_iteration(coef: np.ndarray, const: np.ndarray, starts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fixed point of ``x[i] = max over rows r of member i of const[r] + coef[r] @ x``.
+
+    Member ``i`` owns the rows from ``starts[i]`` to the next member's start.
+    Howard's policy iteration starts with every member on its first row and
+    ``x`` the value of that policy (or any point, if those rows are worth
+    -inf).  A member switches rows only on a gain of more than 1e-12 at the
+    current value, and each policy's value is one linear solve: every row of
+    ``coef`` sums to less than 1, so ``I - coef[policy]`` is non-singular.
+    """
+    policy = starts.copy()
+    ends = starts[1:].tolist() + [len(const)]
+    eye = np.eye(len(starts))
+    seen = set()
+    while True:
+        q = const + coef @ x
+        switch = (np.maximum.reduceat(q, starts) > q[policy] + 1e-12).nonzero()[0]
+        if not len(switch):
+            return x
+        for i in switch.tolist():
+            policy[i] = starts[i] + q[starts[i] : ends[i]].argmax()
+        key = policy.tobytes()
+        if key in seen:  # exact arithmetic never returns to a policy; rounding can
+            return x
+        seen.add(key)
+        x = np.linalg.solve(eye - coef[policy], const[policy])
+
+
 class _Search:
     def __init__(self, m: BrDetPomdp, b0: SupportBelief, params: SolveParams) -> None:
         self.m = m
@@ -372,6 +401,8 @@ class _Search:
         if best_ub < node.ub:
             gain = max(gain, node.ub - best_ub)
             node.ub = best_ub
+        if node.ub < node.lb:  # rounding: the value is at least the achievable lb
+            node.ub = node.lb
         return gain
 
     def _sweep(self) -> None:
@@ -384,8 +415,11 @@ class _Search:
         the strongly connected components of the marked graph children first,
         so each component is solved once, on final bounds below it: a single
         node by one backup, a larger component by Gauss-Seidel passes until no
-        bound moves by 1e-12.  Changes the sweep itself makes are not recorded:
-        it leaves every marked node at its fixed point.
+        bound moves by 1e-12.  A pass that moves one is followed by policy
+        iteration over the component (``_solve_component``), so the next pass,
+        as a rule, only checks its solution; a component already at its fixed
+        point costs one pass.  Changes the sweep itself makes are not
+        recorded: it leaves every marked node at its fixed point.
         """
         marked: set[int] = set()
         pending = self.changed
@@ -431,7 +465,57 @@ class _Search:
                         self._backup(node)
                     else:
                         while max([self._backup(member) for member in component]) > 1e-12:
-                            pass
+                            self._solve_component(component)
+
+    def _solve_component(self, component: list[_Node]) -> None:
+        """Solve a strongly connected component's bounds by policy iteration.
+
+        Children outside the component hold final bounds, so each action of a
+        member is a constant plus ``gamma * p`` times in-component bounds.
+        Each member's first row is "keep the bound it has", worth its lb on
+        the lower side: the clamped backup's fixed point is then the value of
+        the best policy, and any policy's value is achievable.  The upper
+        side has no such row (its constant is -inf); its greedy policy's
+        value can sit below the fixed point until the policy is stable, so
+        only the stable value is written, and never below the member's lb.
+        """
+        gamma = self.gamma
+        n = len(component)
+        where = {id(member): i for i, member in enumerate(component)}
+        starts = []
+        const_lb = []
+        const_ub = []
+        cells = []  # flat (row, member) index of each in-component term
+        terms = []
+        for member in component:
+            starts.append(len(const_lb))
+            const_lb.append(member.lb)
+            const_ub.append(-float("inf"))
+            for rbar, entries in member.acts:
+                qlb = rbar
+                qub = rbar
+                for _, p, child in entries:
+                    j = where.get(id(child))
+                    if j is None:
+                        qlb += gamma * p * child.lb
+                        qub += gamma * p * child.ub
+                    else:
+                        cells.append(len(const_lb) * n + j)
+                        terms.append(gamma * p)
+                const_lb.append(qlb)
+                const_ub.append(qub)
+        coef = np.bincount(cells, weights=terms, minlength=len(const_lb) * n).reshape(-1, n)
+        starts = np.array(starts)
+        const = np.array(const_lb)
+        lbs = _policy_iteration(coef, const, starts, const[starts])
+        for member, x in zip(component, lbs.tolist()):
+            if x > member.lb:
+                member.lb = x
+        ubs = np.array([member.ub for member in component])
+        ubs = _policy_iteration(coef, np.array(const_ub), starts, ubs)
+        for member, x in zip(component, ubs.tolist()):
+            if x < member.ub:
+                member.ub = max(x, member.lb)
 
     # --- trial loop ----------------------------------------------------------
 
@@ -626,7 +710,8 @@ class _Search:
                 return SolveResult(
                     fsc=fsc,
                     lower_bound=certified,
-                    upper_bound=root.ub,
+                    # the optimum is at least `certified`: a root ub below it is rounding
+                    upper_bound=max(root.ub, certified),
                     converged=converged,
                     status=status,
                     expansions=self.expansions,

@@ -4,9 +4,12 @@ The driver first builds one controller per agent against the default policy
 of the fully observable relaxation (heuristic initialization), then loops:
 pick the next agent round-robin, freeze everyone else, solve that agent's
 best-response problem, and *keep the new controller only if the exactly
-evaluated joint value improves* by more than the acceptance margin.  The
-loop stops after a full round with no accepted update, which certifies a
-Nash equilibrium up to the margin plus the subsolver's bound gap unless a
+evaluated joint value improves* by more than the acceptance margin.  An
+agent is skipped, with no history row, when no update has been accepted
+since its last call returned: its problem is unchanged, so the solver
+would return the controller it holds or the one rejected then.  The loop
+stops after a full round with no accepted update, which certifies a Nash
+equilibrium up to the margin plus the subsolver's bound gap unless a
 best-response call in that round hit a limit error, or after a round cap.
 Limit errors (``ResourceLimitError``, ``MissingStateError``) are recorded
 as ``error:<Name>`` iterations; any other exception propagates.
@@ -159,6 +162,9 @@ def run(
     order_rng = stream(params.seed, "agent-order") if params.agent_order == "random" else None
     converged = False
     rounds = 0
+    accepted_count = 0
+    # accepted_count after each agent's last call that returned a controller
+    solved_at: list[int | None] = [None] * model.agent_count
     for rnd in range(1, params.max_rounds + 1):
         rounds = rnd
         agents = list(range(model.agent_count))
@@ -167,6 +173,10 @@ def run(
         accepted_this_round = False
         errored_this_round = False
         for agent in agents:
+            if solved_at[agent] == accepted_count:
+                # the other controllers are those of its last call: the same problem,
+                # whose answer is already the incumbent or was rejected
+                continue
             t0 = time.perf_counter()
             try:
                 problem = build_br_detpomdp(model, policy, agent, value_table=table, cache=cache)
@@ -209,6 +219,8 @@ def run(
                 policy = candidate
                 value = post
                 accepted_this_round = True
+                accepted_count += 1
+            solved_at[agent] = accepted_count
         if not accepted_this_round:
             converged = not errored_this_round
             break

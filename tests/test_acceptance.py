@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import os
 import time
+
+import pytest
+
 from detdec import (
     CollectingSpec,
     IdppParams,
@@ -33,6 +36,9 @@ from detdec.idpp import run as idpp_run
 from detdec.rng import SplitMix64
 
 from helpers import random_joint_policy, small_instances
+
+# every solve of the suite must end with upper bounds at or above lower bounds
+pytestmark = pytest.mark.usefixtures("sound_bounds")
 
 
 def _ok(n: int, message: str) -> None:

@@ -535,6 +535,50 @@ class TestSweep:
         search._backup(stay)
         assert stay.lb == pytest.approx(1 / (1 - 0.9), abs=1e-12)  # one plain backup gives 1
 
+    def test_slow_creep_cycle_takes_a_few_backups(self, monkeypatch):
+        # action 0 cycles 0 -> 1 -> 0 and earns 1 per round trip; action 1 ends in
+        # terminal state 2.  With gamma = 0.99 the lower bounds of the two-node
+        # belief cycle creep by gamma^2 per Gauss-Seidel pass: about 1,400 passes.
+        gamma = 0.99
+        t = {(0, (0,)): (1, (1,), 1.0), (1, (0,)): (0, (0,), 0.0)}
+        t.update({(s, (1,)): (2, (0,), 0.0) for s in (0, 1)})
+        model = TabularModel(1, (2,), (2,), gamma, t, SupportBelief.point(0), terminal=frozenset({2}))
+        prob = _init_problem(model)
+        search = _Search(prob, prob.initial_belief(), SolveParams())
+        node = search.root
+        while node.acts is None:
+            search._expand(node)
+            node = node.acts[0][1][0][2]
+        expanded = [n for n in search.nodes.values() if n.acts is not None]
+        assert len(expanded) == 3 and _has_cycle(expanded)  # the root and the cycle
+        backup = _Search._backup
+        backups = [0]
+
+        def counting_backup(s, n):
+            backups[0] += 1
+            return backup(s, n)
+
+        monkeypatch.setattr(_Search, "_backup", counting_backup)
+        search._sweep()
+        assert backups[0] <= 2 * len(expanded)
+        swept = [(n.lb, n.ub) for n in expanded]
+        at_0 = 1 / (1 - gamma**2)  # state 0 earns 1 now and every second step
+        for (lb, ub), n in zip(swept, expanded):
+            value = at_0 if prob.ext(n.belief.atoms[0][0]).state == 0 else gamma * at_0
+            assert lb == pytest.approx(value, abs=1e-9)
+            assert ub == pytest.approx(value, abs=1e-9)
+        for n in expanded:
+            n.lb, n.ub = search.floor, upper_bound(n.belief, prob)
+        _gauss_seidel(expanded[::-1], gamma, 1e-13)
+        for (lb, ub), n in zip(swept, expanded):
+            assert lb == pytest.approx(n.lb, abs=1e-9)
+            assert ub == pytest.approx(n.ub, abs=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    def test_upper_bounds_stay_above_lower_bounds(self, case, sound_bounds):
+        _run_search(case)
+        assert len(sound_bounds) == 1
+
     def test_trial_that_expands_nothing_after_a_sweep_stalls(self):
         prob = _init_problem(mactp_generate(MactpSpec(3, 2, 5, seed=29)))
         b0 = prob.initial_belief()
@@ -560,15 +604,16 @@ class TestPinnedSolve:
         ),
         "collecting-3x3-a2-b1-br": (
             lambda: _br_problem(collecting_generate(CollectingSpec(3, 3, 2, 1, 5)), 5, 1),
-            "deecdacca9b20ec9c87722d7dd0cf4af40fa56097bf30030524074c489e27bda",
+            "ca040fe8fa9cfaf1f3ab3d15f770338702752fc8280642d81f4d1b417237a10d",
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_result_digest(self, case):
+    def test_result_digest(self, case, sound_bounds):
         make, expected = self.CASES[case]
         prob = make()
         res = solve(prob, prob.initial_belief(), SolveParams(epsilon=1e-3, node_budget=2000))
+        assert sound_bounds == [res]
         fields = (
             res.lower_bound, res.upper_bound, res.converged, res.status, res.expansions, res.trials,
             res.trace, res.fsc.initial_node,

@@ -8,6 +8,7 @@ from detdec import (
     IdppParams,
     ResourceLimitError,
     SolveParams,
+    build_br_detpomdp,
     build_init_detpomdp,
     default_policy,
     exact_value,
@@ -114,6 +115,73 @@ class TestRun:
         params_b = IdppParams(solve=FAST.solve, max_rounds=4, agent_order="random", seed=1)
         m = mactp_generate(MactpSpec(3, 2, 5, seed=7))
         assert serialize(run(m, params_a).policy) == serialize(run(m, params_b).policy)
+
+
+def _run_without_skip(model, params):
+    """Reference loop: every agent is solved in every round, as if nothing repeats."""
+    table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
+    init = heuristic_init(model, params, table=table)
+    policy, value, calls = init.policy, init.value, 0
+    for _ in range(params.max_rounds):
+        accepted = False
+        for agent in range(model.agent_count):
+            problem = build_br_detpomdp(model, policy, agent, value_table=table)
+            candidate = policy.replace(agent, solve(problem, problem.initial_belief(), params.solve).fsc)
+            post = exact_value(model, candidate)
+            calls += 1
+            if post > value + params.value_tolerance:
+                policy, value, accepted = candidate, post, True
+        if not accepted:
+            break
+    return policy, value, calls
+
+
+class TestSkip:
+    # seed 42 skips agent 1 in round 2; seed 1 skips both agents of round 2
+    @pytest.mark.parametrize("seed", [42, 1])
+    def test_unchanged_problem_is_not_solved_again(self, monkeypatch, seed):
+        m = mactp_generate(MactpSpec(3, 2, 5, seed=seed))
+        policy, value, reference_calls = _run_without_skip(m, FAST)
+        real_solve = idpp_module.solve
+        agents = []
+
+        def counting_solve(problem, belief, params):
+            agents.append(problem.agent)
+            return real_solve(problem, belief, params)
+
+        monkeypatch.setattr(idpp_module, "solve", counting_solve)
+        result = run(m, FAST)
+        assert agents[: m.agent_count] == list(range(m.agent_count))  # the heuristic init
+        assert agents[m.agent_count :] == [rec.agent for rec in result.history]
+        assert len(result.history) < reference_calls
+        last = {}
+        for k, rec in enumerate(result.history):
+            if rec.agent in last:  # another agent's update was accepted since its last call
+                assert any(r.accepted for r in result.history[last[rec.agent] + 1 : k])
+            last[rec.agent] = k
+        assert result.converged
+        assert serialize(result.policy) == serialize(policy)
+        assert result.final_value == value
+
+    def test_failed_call_is_made_again(self, monkeypatch):
+        # agent 0's round-1 update is accepted, so round 2 skips agent 0; agent 1's
+        # calls fail, and a failed call does not count as its problem's answer
+        m = mactp_generate(MactpSpec(3, 2, 5, seed=42))
+        real_solve = idpp_module.solve
+        agents = []
+
+        def solve_but_agent_1(problem, belief, params):
+            agents.append(problem.agent)
+            if len(agents) > m.agent_count and problem.agent == 1:
+                raise ResourceLimitError("injected cap")
+            return real_solve(problem, belief, params)
+
+        monkeypatch.setattr(idpp_module, "solve", solve_but_agent_1)
+        result = run(m, FAST)
+        rows = [(r.round, r.agent, r.accepted) for r in result.history]
+        assert rows == [(1, 0, True), (1, 1, False), (2, 1, False)]
+        assert result.history[-1].solver_status == "error:ResourceLimitError"
+        assert not result.converged
 
 
 class TestNashCheck:
