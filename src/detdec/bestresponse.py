@@ -24,7 +24,7 @@ atoms cheap to hash, order, and compare.
 moves a whole belief's atoms under every own action in one batched call:
 interning records each extended state's row in the relaxation table, so
 the successors and rewards are gathers on that table's ``succ`` and
-``rewards``, the joint observation is the model's ``observation_batch`` and
+``palette[rewards]``, the joint observation is the model's ``observation_batch`` and
 the other agents' nodes advance through ``FscArrays``.  Its rows equal
 ``step``'s, and it interns new successors in row order, the order in which
 ``step`` calls would meet them.
@@ -108,7 +108,7 @@ class BrDetPomdp:
             self._ids[ext] = eid
             self._ext.append(ext)
             if self._table is not None:
-                self._rows.append(self._table.state_index.get(ext.state, -1))
+                self._rows.append(self._table.row(ext.state))
         return eid
 
     def ext(self, eid: int) -> ExtState:
@@ -136,7 +136,10 @@ class BrDetPomdp:
             joint[self.agent] = action
             joint = tuple(joint)
         else:
-            default = self._default_policy.joint_action(ext.state)
+            row = self._rows[eid]
+            if row < 0:
+                raise MissingStateError(f"state {ext.state} not covered by the MDP policy")
+            default = self._default_policy.joint_actions[int(self._default_policy.greedy[row])]
             joint = tuple(
                 action if j == self.agent else default[j]
                 for j in range(self.model.agent_count)
@@ -187,7 +190,7 @@ class BrDetPomdp:
         joint = own * self._stride + others
         if table is not None:
             succ_rows = table.succ[rows, joint]
-            rewards = table.rewards[rows, joint]
+            rewards = table.palette[table.rewards[rows, joint]]
             successors = table.state_ids[succ_rows]
             obs = self.model.observation_batch(table.state_ids[rows], self._joint_actions[joint], successors)
             succ_rows = succ_rows.tolist()
@@ -240,10 +243,18 @@ class BrDetPomdp:
 
         It is the state's relaxation value widened by the table's
         ``error_bound``, so it stays admissible however loose ``mdp_tol`` is.
+        When the value table is the one the problem steps on, the value is a
+        read of the state's interned row.
         """
-        if self.value_table is None:
+        table = self.value_table
+        if table is None:
             return None
-        return self.value_table.value(self._ext[eid].state) + self.value_table.error_bound
+        if table is not self._table:
+            return table.value(self._ext[eid].state) + table.error_bound
+        row = self._rows[eid]
+        if row < 0:
+            raise MissingStateError(f"state {self._ext[eid].state} not covered by the value table")
+        return float(table.values[row]) + table.error_bound
 
     def reward_bounds(self) -> tuple[float, float]:
         return self.model.reward_bounds()

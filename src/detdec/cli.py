@@ -7,7 +7,8 @@ count-based budgets reproduce the artifacts byte for byte (wall-clock
 columns excepted, and a time budget necessarily makes the stopping point
 timing-dependent).
 
-Exit codes: 0 converged, 2 budget exhausted with a partial result, 1 error.
+Exit codes: 0 converged, 2 a partial result (a round cap, a limit error, or
+an equilibrium gap above the tolerances), 1 error.
 """
 from __future__ import annotations
 
@@ -45,7 +46,8 @@ USER_ERRORS = (
 )
 
 HISTORY_COLUMNS = [
-    "round", "agent", "pre_value", "post_value", "accepted", "solver_status", "solver_nodes", "seconds",
+    "round", "agent", "pre_value", "post_value", "accepted", "solver_status", "solver_ub", "solver_nodes",
+    "seconds",
 ]
 
 BENCH_COLUMNS = [
@@ -155,7 +157,7 @@ def write_history_csv(path: Path, history) -> None:
         for rec in history:
             writer.writerow([
                 rec.round, rec.agent, repr(rec.pre_value), repr(rec.post_value),
-                rec.accepted, rec.solver_status, rec.solver_expansions, repr(rec.seconds),
+                rec.accepted, rec.solver_status, repr(rec.solver_ub), rec.solver_expansions, repr(rec.seconds),
             ])
 
 
@@ -179,6 +181,7 @@ def _run_algo(config: RunConfig):
             "final_value": run.final_value,
             "rounds": run.rounds_completed,
             "budget_hit": run.budget_hit,
+            "equilibrium_gap": run.equilibrium_gap,
             "iterations": [asdict(rec) for rec in history],
         }
     seconds = time.perf_counter() - t0

@@ -8,11 +8,18 @@ evaluated joint value improves* by more than the acceptance margin.  An
 agent is skipped, with no history row, when no update has been accepted
 since its last call returned: its problem is unchanged, so the solver
 would return the controller it holds or the one rejected then.  The loop
-stops after a full round with no accepted update, which certifies a Nash
-equilibrium up to the margin plus the subsolver's bound gap unless a
-best-response call in that round hit a limit error, or after a round cap.
+stops after a full round with no accepted update, or after a round cap.
 Limit errors (``ResourceLimitError``, ``MissingStateError``) are recorded
 as ``error:<Name>`` iterations; any other exception propagates.
+
+The certificate is each agent's last call: its upper bound on the agent's
+best response, less the joint value the call left (``pre_value`` if it
+was rejected, ``post_value`` if accepted).  After a round with no accepted
+update no agent's problem has changed since its last call, so the largest
+of these, ``equilibrium_gap``, bounds what any one agent could still gain.
+A run is ``converged`` only when that round had no error and the gap is
+at most ``value_tolerance + epsilon`` (plus 1e-9 for rounding); a call
+stopped on a budget with a wide gap leaves the run unconverged.
 
 Accept/converge decisions use exact evaluation (deterministic models make
 it cheap: one closed-form trajectory per initial atom, all atoms advanced
@@ -62,6 +69,7 @@ class IterationRecord:
     accepted: bool
     solver_status: str
     solver_lb: float
+    solver_ub: float
     solver_expansions: int
     seconds: float
 
@@ -93,13 +101,25 @@ class RunResult:
     history: list[IterationRecord]
     init: InitResult
     final_value: float
-    converged: bool           # a full round passed with no accepted update and no error
+    converged: bool           # a full round with no accepted update or error, and a gap within tolerance
     rounds_completed: int
     budget_hit: bool          # any solver call stopped on a budget
+    equilibrium_gap: float | None  # None when an agent's last call failed with an error
 
     @property
     def init_value(self) -> float:
         return self.init.value
+
+
+def _equilibrium_gap(history: list[IterationRecord]) -> float | None:
+    """Largest ``solver_ub`` less the joint value it left, over each agent's last call."""
+    last = {rec.agent: rec for rec in history}
+    if any(rec.solver_status.startswith("error:") for rec in last.values()):
+        return None
+    return max(
+        (rec.solver_ub - (rec.post_value if rec.accepted else rec.pre_value) for rec in last.values()),
+        default=None,
+    )
 
 
 def _prepare_mdp(model: DetDecModel, params: IdppParams):
@@ -160,7 +180,7 @@ def run(
     history: list[IterationRecord] = []
     budget_hit = any(r.solver_status != "converged" for r in init.records)
     order_rng = stream(params.seed, "agent-order") if params.agent_order == "random" else None
-    converged = False
+    quiet = False  # the last round accepted no update and hit no error
     rounds = 0
     accepted_count = 0
     # accepted_count after each agent's last call that returned a controller
@@ -193,6 +213,7 @@ def run(
                         accepted=False,
                         solver_status=f"error:{type(exc).__name__}",
                         solver_lb=float("nan"),
+                        solver_ub=float("nan"),
                         solver_expansions=0,
                         seconds=time.perf_counter() - t0,
                     )
@@ -210,6 +231,7 @@ def run(
                     accepted=accepted,
                     solver_status=result.status,
                     solver_lb=result.lower_bound,
+                    solver_ub=result.upper_bound,
                     solver_expansions=result.expansions,
                     seconds=time.perf_counter() - t0,
                 )
@@ -222,16 +244,18 @@ def run(
                 accepted_count += 1
             solved_at[agent] = accepted_count
         if not accepted_this_round:
-            converged = not errored_this_round
+            quiet = not errored_this_round
             break
+    gap = _equilibrium_gap(history)
     return RunResult(
         policy=policy,
         history=history,
         init=init,
         final_value=value,
-        converged=converged,
+        converged=quiet and gap is not None and gap <= params.value_tolerance + params.solve.epsilon + 1e-9,
         rounds_completed=rounds,
         budget_hit=budget_hit,
+        equilibrium_gap=gap,
     )
 
 

@@ -11,11 +11,24 @@ Transitions are deterministic, so the reachability pass records one
 vectorized gathers over those tables.  Reachability runs frontier by
 frontier: the model's ``transition_batch`` fills each layer's rows, and new
 states are found by sorted-array membership against the known set.
+
+Table layout.  Row ``k`` is the ``k``-th reachable state in ascending id
+order, so one sorted int64 array, ``state_ids``, maps rows to states (and
+states to rows, by ``searchsorted``).  ``succ`` holds int32 successor rows
+and ``rewards`` unsigned codes into ``palette``, the distinct rewards as
+float64 in order of first sight; the code dtype is the narrowest that
+holds the palette's size (uint8 up to 256 rewards), and ``palette[rewards]``
+is the reward table.  A table costs ``n x J x (4 + code bytes)`` bytes for
+``n`` states and ``J`` joint actions, 5 per (state, joint action) on both
+benchmarks, plus 16 bytes per state for ``state_ids`` and ``values``.
+Each layer's successors are int64 ids only until the layer's new states are
+merged; they are stored as int32 rows in layer order, and the tables are
+put in id order once at the end.  Sweeps run over fixed row blocks, so
+their temporaries are bounded by the block, not by the table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -33,37 +46,40 @@ from .model import (
 DEFAULT_TOL = 1e-6
 DEFAULT_STATE_CAP = 2_000_000
 _CHUNK_PAIRS = 1 << 16  # (state, joint action) pairs per transition_batch call
+_ROW_LIMIT = 2**31  # int32 successor rows
+_SWEEP_ROWS = 2048  # rows per block of a sweep or greedy pass
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing of reward bit patterns
 
 
 @dataclass
 class MdpValueTable:
     """Optimal values of the relaxation over the reachable state set."""
 
-    state_index: dict[StateId, int]
-    states: list[StateId]
+    state_ids: np.ndarray  # sorted int64: row k holds state state_ids[k]
     values: np.ndarray
     residual: float
     gamma: float
     # transition tables kept for greedy extraction: shape (n_states, n_joint_actions)
-    succ: np.ndarray = field(repr=False)
-    rewards: np.ndarray = field(repr=False)
+    succ: np.ndarray = field(repr=False)  # int32 successor rows
+    rewards: np.ndarray = field(repr=False)  # codes into palette
+    palette: np.ndarray = field(repr=False)  # float64 distinct rewards
+
+    def row(self, state: StateId) -> int:
+        """The row of ``state``, or -1 if the table does not cover it."""
+        ids = self.state_ids
+        if not int(ids[0]) <= state <= int(ids[-1]):  # also keeps ids beyond int64 out of the search
+            return -1
+        k = int(ids.searchsorted(state))
+        return k if ids[k] == state else -1
 
     def value(self, state: StateId) -> float:
-        idx = self.state_index.get(state)
-        if idx is None:
+        k = self.row(state)
+        if k < 0:
             raise MissingStateError(f"state {state} not covered by the value table")
-        return float(self.values[idx])
-
-    def __contains__(self, state: StateId) -> bool:
-        return state in self.state_index
+        return float(self.values[k])
 
     def __len__(self) -> int:
-        return len(self.states)
-
-    @cached_property
-    def state_ids(self) -> np.ndarray:
-        """``states`` as an int64 array, to map successor rows to states by a gather."""
-        return np.array(self.states, dtype=np.int64)
+        return len(self.state_ids)
 
     @property
     def error_bound(self) -> float:
@@ -87,13 +103,10 @@ class MdpPolicy:
     joint_actions: tuple[JointAction, ...]
 
     def joint_action(self, state: StateId) -> JointAction:
-        idx = self.table.state_index.get(state)
-        if idx is None:
+        k = self.table.row(state)
+        if k < 0:
             raise MissingStateError(f"state {state} not covered by the MDP policy")
-        return self.joint_actions[int(self.greedy[idx])]
-
-    def __contains__(self, state: StateId) -> bool:
-        return state in self.table.state_index
+        return self.joint_actions[int(self.greedy[k])]
 
 
 def value_iteration(
@@ -103,44 +116,106 @@ def value_iteration(
     state_cap: int = DEFAULT_STATE_CAP,
     max_sweeps: int = 1_000_000,
 ) -> MdpValueTable:
-    """Solve the relaxation over the reachable set to Bellman residual <= tol."""
+    """Solve the relaxation over the reachable set to Bellman residual <= tol.
+
+    Each sweep is Jacobi: every backup reads the previous sweep's values, so
+    the row blocks give the same values as one whole-table backup.
+    """
     require_positive_finite("tol", tol)
     require_int_at_least("state_cap", state_cap, 1)
     belief = reachable_from if reachable_from is not None else model.initial_belief()
-    states, succ, reward_table = _reachable_tables(model, belief, state_cap)
-    n = len(states)
-
-    gamma = model.discount
-    values = np.zeros(n)
-    residual = np.inf
+    state_ids, succ, rewards, palette = _reachable_tables(model, belief, state_cap)
+    table = MdpValueTable(state_ids, np.zeros(len(state_ids)), np.inf, model.discount, succ, rewards, palette)
+    values = table.values
+    backed_up = np.empty_like(values)
     for _ in range(max_sweeps):
-        backed_up = (reward_table + gamma * values[succ]).max(axis=1)
+        for rows, q in _q_blocks(table, values):
+            q.max(axis=1, out=backed_up[rows])
         residual = float(np.max(np.abs(backed_up - values)))
-        values = backed_up
+        values, backed_up = backed_up, values
         if residual <= tol:
             break
     else:
         raise RuntimeError(f"value iteration did not reach residual {tol} in {max_sweeps} sweeps")
+    table.values = values
+    table.residual = residual
+    return table
 
-    return MdpValueTable(
-        state_index=dict(zip(states, range(n))),
-        states=states,
-        values=values,
-        residual=residual,
-        gamma=gamma,
-        succ=succ,
-        rewards=reward_table,
-    )
+
+def _q_blocks(table: MdpValueTable, values: np.ndarray):
+    """``(rows, q)`` per block of ``_SWEEP_ROWS`` rows: ``q = reward + gamma * successor value``.
+
+    ``q`` is one buffer reused by every block; read it before the next.
+    """
+    succ, codes = table.succ, table.rewards
+    n = len(succ)
+    scaled = values * table.gamma  # gamma * values[succ], one product per state
+    q = np.empty((min(n, _SWEEP_ROWS), succ.shape[1]))
+    r = np.empty_like(q)
+    for lo in range(0, n, _SWEEP_ROWS):
+        rows = slice(lo, min(lo + _SWEEP_ROWS, n))
+        qb, rb = q[: rows.stop - lo], r[: rows.stop - lo]
+        # "clip" writes straight into out ("raise" buffers it); every index is in range
+        np.take(scaled, succ[rows], out=qb, mode="clip")
+        np.take(table.palette, codes[rows], out=rb, mode="clip")
+        qb += rb
+        yield rows, qb
+
+
+class _Palette:
+    """Distinct rewards in the order they are found; a reward's code is its position.
+
+    Rewards match by bit pattern, so ``values[codes]`` reproduces each one
+    exactly (signed zeros included).  A multiplicative hash of the bits
+    finds a code in one gather; a reward that shares its slot with another,
+    or is new, is looked up by sorted search.
+    """
+
+    def __init__(self) -> None:
+        self.values = np.empty(0)
+
+    def _extend(self, bits: np.ndarray) -> None:
+        self.values = np.concatenate([self.values, bits.view(np.float64)])
+        keys = self.values.view(np.int64)
+        dtype = np.min_scalar_type(len(keys) - 1)
+        self._order = np.argsort(keys).astype(dtype)  # the code of each sorted key
+        self._sorted = keys[self._order]
+        self._shift = np.uint64(64 - min(20, max(8, 2 * len(keys).bit_length())))
+        self._slot_codes = np.zeros(1 << (64 - int(self._shift)), dtype=dtype)
+        self._slot_codes[self._slots(keys)] = np.arange(len(keys), dtype=dtype)
+
+    def _slots(self, bits: np.ndarray) -> np.ndarray:
+        h = bits.view(np.uint64)
+        return (((h ^ (h >> np.uint64(29))) * _HASH_MUL) >> self._shift).view(np.int64)
+
+    def codes(self, rewards: np.ndarray) -> np.ndarray:
+        """Codes of ``rewards``, in the narrowest unsigned dtype that holds every code."""
+        bits = rewards.view(np.int64)
+        if not self.values.size:
+            self._extend(bits.ravel()[:1])
+        codes = self._slot_codes.take(self._slots(bits))
+        missed = self.values.view(np.int64).take(codes) != bits
+        if missed.any():
+            wanted = bits[missed]
+            at = np.minimum(self._sorted.searchsorted(wanted), len(self._sorted) - 1)
+            absent = self._sorted[at] != wanted
+            if absent.any():
+                self._extend(np.unique(wanted[absent]))
+                return self.codes(rewards)
+            codes[missed] = self._order.take(at)
+        return codes
 
 
 def _reachable_tables(
     model: DetDecModel, belief: SupportBelief, state_cap: int
-) -> tuple[list[StateId], np.ndarray, np.ndarray]:
-    """States reachable from the belief's support, with their successor rows and rewards.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(state_ids, succ, rewards, palette)`` of the states reachable from the belief's support.
 
-    Rows are ordered layer by layer, each layer by state id; the successor
-    table holds row indices.  The two tables grow in place by one layer at a
-    time (``ndarray.resize`` reallocates, so no second copy is held).
+    Rows are found layer by layer, each layer by state id; a layer's
+    successor ids are stored as int32 layer-order rows once its new states
+    are known.  The two tables grow in place by one layer at a time
+    (``ndarray.resize`` reallocates, so no second copy is held) and are put
+    in state-id order at the end.
     """
     roots = sorted(set(belief.states))
     require_int64_state_ids(roots[-1])
@@ -148,33 +223,50 @@ def _reachable_tables(
     chunk = max(1, _CHUNK_PAIRS // n_actions)
     frontier = np.array(roots, dtype=np.int64)
     known = frontier  # sorted ids of every state found so far
-    layers = []
-    succ = np.empty((0, n_actions), dtype=np.int64)
-    rewards = np.empty((0, n_actions))
+    known_rows = np.arange(frontier.size, dtype=np.int32)  # the layer-order row of each known id
+    palette = _Palette()
+    succ = np.empty((0, n_actions), dtype=np.int32)
+    rewards = np.empty((0, n_actions), dtype=np.uint8)
     while frontier.size:
         start = len(succ)
-        succ.resize((start + frontier.size, n_actions), refcheck=False)
-        rewards.resize(succ.shape, refcheck=False)
+        layer = np.empty((frontier.size, n_actions), dtype=np.int64)
+        rewards.resize((start + frontier.size, n_actions), refcheck=False)
         for lo in range(0, frontier.size, chunk):
-            rows = slice(start + lo, start + lo + chunk)
-            succ[rows], rewards[rows] = model.transition_batch(frontier[lo : lo + chunk])
-        layers.append(frontier)
-        frontier, known = merge_new_ids(known, succ[start:])
-        if known.size > state_cap:
+            layer[lo : lo + chunk], r = model.transition_batch(frontier[lo : lo + chunk])
+            codes = palette.codes(r)
+            if codes.dtype != rewards.dtype:  # the palette outgrew the code dtype
+                rewards = rewards.astype(codes.dtype)
+            rewards[start + lo : start + lo + chunk] = codes
+        new, merged = merge_new_ids(known, layer)
+        if merged.size > state_cap:
             raise ResourceLimitError(f"reachable state set exceeds state_cap={state_cap}")
+        if merged.size > _ROW_LIMIT:
+            raise ResourceLimitError(f"reachable state set exceeds the int32 row bound {_ROW_LIMIT}")
+        next_row = start + frontier.size
+        known_rows = np.insert(
+            known_rows, known.searchsorted(new), np.arange(next_row, next_row + new.size, dtype=np.int32)
+        )
+        frontier, known = new, merged
+        succ.resize((next_row, n_actions), refcheck=False)
+        for lo in range(0, len(layer), chunk):
+            succ[start + lo : start + lo + chunk] = known_rows.take(known.searchsorted(layer[lo : lo + chunk]))
+        del layer  # before the next layer's ids are allocated
 
-    states = np.concatenate(layers)
-    order = np.argsort(states)  # order[k] is the row of known[k]
-    for lo in range(0, len(succ), chunk):  # successor ids to rows, in place
-        block = succ[lo : lo + chunk]
-        block[...] = order[np.searchsorted(known, block)]
-    return states.tolist(), succ, rewards
+    # known_rows[k] is the layer-order row of the k-th smallest id: gather rows into id order
+    rank = np.empty_like(known_rows)
+    rank[known_rows] = np.arange(known_rows.size, dtype=np.int32)
+    by_id = np.empty_like(succ)
+    for lo in range(0, len(succ), chunk):
+        np.take(rank, succ[known_rows[lo : lo + chunk]], out=by_id[lo : lo + chunk], mode="clip")
+    del succ  # before the reward codes are reordered
+    return known, by_id, rewards[known_rows], palette.values
 
 
 def default_policy(table: MdpValueTable, model: DetDecModel) -> MdpPolicy:
     """Greedy joint action per stored state; argmax takes the lowest joint index."""
-    q = table.rewards + table.gamma * table.values[table.succ]
-    greedy = np.argmax(q, axis=1).astype(np.int64)
+    greedy = np.empty(len(table), dtype=np.int64)
+    for rows, q in _q_blocks(table, table.values):
+        q.argmax(axis=1, out=greedy[rows])
     return MdpPolicy(
         table=table,
         greedy=greedy,

@@ -280,7 +280,7 @@ class TestStepActions:
         policy = random_joint_policy(m, SplitMix64(11))
         for prob in (build_br_detpomdp(m, policy, 0, value_table=sub), build_init_detpomdp(m, 1, default_policy(sub, m))):
             eids = list(prob.initial_belief().states)
-            missing = next(prob.ext(e).state for e in eids if prob.ext(e).state not in sub)
+            missing = next(prob.ext(e).state for e in eids if sub.row(prob.ext(e).state) < 0)
             with pytest.raises(MissingStateError, match=f"state {missing} not covered"):
                 prob.step_actions(eids)
 
@@ -297,3 +297,25 @@ class TestStepActions:
         rows = batched.step_actions(eids)
         assert rows == [scalar.step(e, a) for a in range(batched.action_count) for e in eids]
         assert _interned(batched) == _interned(scalar)
+
+
+class TestValueHints:
+    def test_hints_read_the_interned_rows(self, monkeypatch):
+        # with the stepping table as value table, a hint needs no state-to-row search
+        m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
+        table, pi = _mdp_policy(m)
+        policy = random_joint_policy(m, SplitMix64(11))
+        for prob in (build_br_detpomdp(m, policy, 0, value_table=table), build_init_detpomdp(m, 1, pi)):
+            eids = [e for e, _, _ in prob.step_actions(list(prob.initial_belief().states))]
+            expected = [table.value(prob.ext(e).state) + table.error_bound for e in eids]
+            with monkeypatch.context() as patch:
+                patch.setattr(table, "row", lambda state: pytest.fail("hint searched the table"))
+                assert [prob.state_value_hint(e) for e in eids] == expected
+
+    def test_hint_outside_the_table_is_named(self):
+        m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
+        sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
+        prob = build_br_detpomdp(m, random_joint_policy(m, SplitMix64(11)), 0, value_table=sub)
+        missing = next(e for e in prob.initial_belief().states if sub.row(prob.ext(e).state) < 0)
+        with pytest.raises(MissingStateError, match=f"state {prob.ext(missing).state} not covered"):
+            prob.state_value_hint(missing)

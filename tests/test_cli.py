@@ -61,6 +61,7 @@ class TestSolve:
             assert (out / name).exists(), name
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is True
+        assert report["equilibrium_gap"] <= 1e-6 + 1e-3 + 1e-9
         assert report["final_value"] >= report["init_value"] - 1e-12
         with open(out / "history.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -88,6 +89,20 @@ class TestSolve:
             "--epsilon", "1e-9", "--node-budget", "2", "--episodes", "0",
         ])
         assert code == EXIT_BUDGET
+
+    def test_quiet_round_with_a_wide_gap_exits_with_budget_code(self, tmp_path):
+        # both round-1 calls stop on the node budget and neither is accepted
+        inst = _gen_instance(tmp_path, seed=1)
+        out = tmp_path / "wide"
+        code = main(["solve", str(inst), "--out", str(out), "--node-budget", "5", "--episodes", "0"])
+        assert code == EXIT_BUDGET
+        report = json.loads((out / "report.json").read_text())
+        with open(out / "history.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert report["rounds"] == 1 and report["converged"] is False
+        assert not any(row["accepted"] == "True" for row in rows)
+        gaps = [float(row["solver_ub"]) - float(row["pre_value"]) for row in rows]
+        assert report["equilibrium_gap"] == max(gaps) > 1e-6 + 1e-3
 
     def test_rerun_reproduces_policy_and_history(self, tmp_path):
         inst = _gen_instance(tmp_path)

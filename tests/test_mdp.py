@@ -13,6 +13,7 @@ from detdec import (
     MactpSpec,
     value_iteration,
 )
+from detdec import mdp
 from detdec.evaluation import trajectory_value
 from detdec.model import enumerate_joint_actions
 
@@ -73,7 +74,7 @@ class TestValueIteration:
     def test_benchmark_matches_hand_bellman(self, model):
         oracle = hand_bellman(model)
         table = value_iteration(model, tol=1e-9)
-        assert sorted(table.states) == sorted(oracle)
+        assert table.state_ids.tolist() == sorted(oracle)
         assert max(oracle.values()) > 0  # goals or deliveries are reached
         for s, v in oracle.items():
             assert table.value(s) == pytest.approx(v, abs=1e-6)
@@ -83,7 +84,7 @@ class TestValueIteration:
         tol = 1e-6
         table = value_iteration(m, tol=tol)
         actions = enumerate_joint_actions(m.action_space_sizes)
-        for s in list(table.state_index)[::7]:
+        for s in table.state_ids[::7].tolist():
             backed = max(
                 m.step(s, a)[2] + m.discount * table.value(m.step(s, a)[0]) for a in actions
             )
@@ -93,7 +94,7 @@ class TestValueIteration:
         m = mactp_generate(MactpSpec(3, 2, 3, seed=4))
         t1 = value_iteration(m)
         t2 = value_iteration(m)
-        assert t1.states == t2.states
+        assert np.array_equal(t1.state_ids, t2.state_ids)
         assert np.array_equal(t1.values, t2.values)
 
     def test_state_cap(self):
@@ -127,6 +128,72 @@ class TestValueIteration:
     def test_bad_state_cap_is_named(self, cap):
         with pytest.raises(ValueError, match="state_cap must be an integer"):
             value_iteration(selfloop_model(), state_cap=cap)
+
+
+def jacobi_reference(table, tol):
+    """Whole-table Jacobi value iteration over a table's own successors and rewards."""
+    rewards = table.palette[table.rewards]
+    values = np.zeros(len(table))
+    while True:
+        backed_up = (rewards + table.gamma * values[table.succ]).max(axis=1)
+        residual = float(np.max(np.abs(backed_up - values)))
+        values = backed_up
+        if residual <= tol:
+            return values, residual
+
+
+def many_rewards_model(n=300):
+    """A chain of ``n`` states whose 2n rewards all differ, signed zeros included."""
+    transitions = {}
+    for s in range(n):
+        transitions[(s, (0,))] = (min(s + 1, n - 1), (0,), s + 0.25)
+        transitions[(s, (1,))] = (s, (0,), -(s + 0.5))
+    transitions[(0, (1,))] = (0, (0,), -0.0)
+    transitions[(1, (1,))] = (1, (0,), 0.0)
+    return TabularModel(1, (2,), (1,), 0.9, transitions, SupportBelief.point(0))
+
+
+class TestCompactTables:
+    MACTP = mactp_generate(MactpSpec(3, 2, 3, seed=4))
+
+    def test_rows_follow_state_ids(self):
+        table = value_iteration(self.MACTP)
+        ids = table.state_ids
+        assert ids.dtype == np.int64 and np.all(ids[1:] > ids[:-1])
+        assert [table.row(s) for s in ids[::11].tolist()] == list(range(0, len(ids), 11))
+        assert table.row(int(ids[-1]) + 1) == -1 and table.row(2**70) == -1
+
+    def test_layout_and_bytes(self):
+        table = value_iteration(self.MACTP)
+        n, joint = len(table), self.MACTP.num_joint_actions
+        assert table.succ.dtype == np.int32 and table.rewards.dtype == np.uint8
+        assert table.succ.shape == table.rewards.shape == (n, joint)
+        assert table.succ.nbytes + table.rewards.nbytes == n * joint * (4 + 1)
+        successors, rewards = self.MACTP.transition_batch(table.state_ids)
+        assert np.array_equal(table.state_ids[table.succ], successors)
+        assert np.array_equal(table.palette[table.rewards], rewards)
+
+    def test_blocked_sweeps_equal_whole_table_jacobi(self, monkeypatch):
+        monkeypatch.setattr(mdp, "_SWEEP_ROWS", 7)  # many blocks and a ragged last one
+        tol = 1e-9
+        table = value_iteration(self.MACTP, tol=tol)
+        assert len(table) % 7 and len(table) > 7 * 10
+        values, residual = jacobi_reference(table, tol)
+        assert np.array_equal(table.values, values) and table.residual == residual
+        q = table.palette[table.rewards] + table.gamma * table.values[table.succ]
+        assert np.array_equal(default_policy(table, self.MACTP).greedy, np.argmax(q, axis=1))
+
+    def test_more_than_256_rewards_widen_the_codes(self):
+        m = many_rewards_model()
+        table = value_iteration(m)
+        assert len(table.palette) == 2 * 300 and table.rewards.dtype == np.uint16
+        _, rewards = m.transition_batch(table.state_ids)
+        assert np.array_equal(table.palette[table.rewards].view(np.int64), rewards.view(np.int64))
+
+    def test_int32_row_bound(self, monkeypatch):
+        monkeypatch.setattr(mdp, "_ROW_LIMIT", 10)
+        with pytest.raises(ResourceLimitError, match="int32 row bound 10"):
+            value_iteration(self.MACTP)
 
 
 class TestDefaultPolicy:
@@ -170,6 +237,6 @@ class TestDefaultPolicy:
             return s2, r
 
         memo = {}
-        for s in list(table.state_index)[::5]:
+        for s in table.state_ids[::5].tolist():
             got = trajectory_value(s, step_fn, lambda s: s, m.is_terminal, m.discount, memo)
             assert abs(got - table.value(s)) <= tol / (1 - m.discount) + 1e-9

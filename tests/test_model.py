@@ -103,7 +103,7 @@ _collecting_states = st.lists(
 
 def _reachable_pairs(model):
     """Every (state, joint action) reachable from the initial support, in sorted order."""
-    for s in sorted(value_iteration(model).states):
+    for s in value_iteration(model).state_ids.tolist():
         for a in model.joint_actions():
             yield s, a
 
@@ -226,7 +226,7 @@ class TestBatchKernel:
 
     def test_reachable_pairs_of_small_benchmarks(self):
         for model in _small_benchmark_models():
-            _assert_batch_matches_scalar(model, sorted(value_iteration(model).states))
+            _assert_batch_matches_scalar(model, value_iteration(model).state_ids.tolist())
 
     def test_default_loops_over_transition_only(self):
         _assert_batch_matches_scalar(chain_model(), [0, 1, 2])
@@ -251,7 +251,7 @@ class TestBatchKernel:
 
     def test_step_batch_on_reachable_pairs_of_small_benchmarks(self):
         for model in _small_benchmark_models():
-            _assert_step_batch_matches_scalar(model, sorted(value_iteration(model).states))
+            _assert_step_batch_matches_scalar(model, value_iteration(model).state_ids.tolist())
 
     def test_step_batch_default_loops_over_step(self):
         _assert_step_batch_matches_scalar(chain_model(), [0, 1, 2])
