@@ -16,18 +16,25 @@ Two variants share the construction:
   memoryless default policy of the fully observable relaxation (their node
   components collapse to an empty tuple).
 
+Every problem lives on one relaxation table (the initialization problem's
+is its default policy's).  An extended state holds its environment state's
+*row* in that table, so successors and value hints are table reads.  The
+table is closed under stepping, so only the initial atoms can fall outside
+it; ``initial_belief`` checks them once.
+
 Extended states are interned lazily into dense integer ids; the product
 space is far too large to enumerate up front, and interning keeps belief
 atoms cheap to hash, order, and compare.
 
-``step`` moves one extended state under one own action.  ``step_actions``
-moves a whole belief's atoms under every own action in one batched call:
-interning records each extended state's row in the relaxation table, so
-the successors and rewards are gathers on that table's ``succ`` and
-``palette[rewards]``, the joint observation is the model's ``observation_batch`` and
-the other agents' nodes advance through ``FscArrays``.  Its rows equal
-``step``'s, and it interns new successors in row order, the order in which
-``step`` calls would meet them.
+``step`` moves one extended state under one own action: its successor row
+is a read of the table's ``succ``, its observation and reward come from the
+model through the transition cache.  ``step_actions`` moves a whole
+belief's atoms under every own action in one batched call: successors and
+rewards are gathers on ``succ`` and ``palette[rewards]``, the joint
+observation is the model's ``observation_batch`` and the other agents'
+nodes advance through ``FscArrays``.  Its rows equal ``step``'s, and it
+interns new successors in row order, the order in which ``step`` calls
+would meet them.
 """
 from __future__ import annotations
 
@@ -44,7 +51,7 @@ from .model import DetDecModel, StateId, SupportBelief, TransitionCache
 
 
 class ExtState(NamedTuple):
-    state: StateId
+    row: int  # the environment state's row in the relaxation table
     other_nodes: tuple[int, ...]
     last_obs: int  # the agent's own latest observation, or the start symbol
 
@@ -63,7 +70,7 @@ class BrDetPomdp:
         agent: int,
         other_controllers: tuple | None,
         default_policy: MdpPolicy | None,
-        value_table: MdpValueTable | None = None,
+        value_table: MdpValueTable,
         cache: TransitionCache | None = None,
     ) -> None:
         if not 0 <= agent < model.agent_count:
@@ -76,6 +83,9 @@ class BrDetPomdp:
         self._controllers = other_controllers
         self._default_policy = default_policy
         self.value_table = value_table
+        self._state_ids = value_table.state_ids
+        self._values = value_table.values
+        self._error_bound = value_table.error_bound
         self.cache = cache if cache is not None else TransitionCache(model)
         self.action_count = model.action_space_sizes[agent]
         self.obs_bound = model.observation_space_sizes[agent]
@@ -84,20 +94,16 @@ class BrDetPomdp:
         self._ids: dict[ExtState, int] = {}
         self._ext: list[ExtState] = []
         self._step_memo: dict[int, tuple[int, int, float]] = {}
-        # batched steps: the joint action index is own * stride + the others' part
+        # the joint action index is own * stride + the others' part
         sizes = model.action_space_sizes
         self._stride = prod(sizes[agent + 1 :])
-        self._joint_actions = np.array(model.joint_actions(), dtype=np.int64)
+        self._joint_tuples = model.joint_actions()
+        self._joint_actions = np.array(self._joint_tuples, dtype=np.int64)
         if other_controllers is not None:
             self._other_arrays = [
                 (j, FscArrays.checked(other_controllers[j], j, sizes[j]), prod(sizes[j + 1 :]))
                 for j in self.others
             ]
-            self._table = value_table  # without one, batched steps call model.step_batch
-        else:
-            self._table = default_policy.table  # the table the default policy's rows index
-        # per interned state: its environment state's row in ``_table``, -1 if uncovered
-        self._rows: list[int] = []
 
     # --- interning ---------------------------------------------------------
 
@@ -107,12 +113,14 @@ class BrDetPomdp:
             eid = len(self._ext)
             self._ids[ext] = eid
             self._ext.append(ext)
-            if self._table is not None:
-                self._rows.append(self._table.row(ext.state))
         return eid
 
     def ext(self, eid: int) -> ExtState:
         return self._ext[eid]
+
+    def state(self, eid: int) -> StateId:
+        """The environment state of extended state ``eid``."""
+        return self._state_ids.item(self._ext[eid].row)
 
     @property
     def interned_count(self) -> int:
@@ -128,32 +136,21 @@ class BrDetPomdp:
         hit = self._step_memo.get(key)
         if hit is not None:
             return hit
-        ext = self._ext[eid]
+        row, nodes, _ = self._ext[eid]
         if self._controllers is not None:
-            joint = [0] * self.model.agent_count
-            for j, node in zip(self.others, ext.other_nodes):
-                joint[j] = self._controllers[j].nodes[node].action
-            joint[self.agent] = action
-            joint = tuple(joint)
-        else:
-            row = self._rows[eid]
-            if row < 0:
-                raise MissingStateError(f"state {ext.state} not covered by the MDP policy")
-            default = self._default_policy.joint_actions[int(self._default_policy.greedy[row])]
-            joint = tuple(
-                action if j == self.agent else default[j]
-                for j in range(self.model.agent_count)
-            )
-        s2, obs, reward = self.cache.step(ext.state, joint)
-        if self._controllers is not None:
-            nodes2 = tuple(
-                self._controllers[j].advance(node, obs[j])
-                for j, node in zip(self.others, ext.other_nodes)
+            others = sum(
+                self._controllers[j].nodes[node].action * stride
+                for (j, _, stride), node in zip(self._other_arrays, nodes)
             )
         else:
-            nodes2 = ()
+            greedy = self._default_policy.greedy.item(row)
+            others = greedy - greedy // self._stride % self.action_count * self._stride
+        joint = action * self._stride + others
+        _, obs, reward = self.cache.step(self._state_ids.item(row), self._joint_tuples[joint])
+        if self._controllers is not None:
+            nodes = tuple(self._controllers[j].advance(node, obs[j]) for j, node in zip(self.others, nodes))
         own = obs[self.agent]
-        result = (self.intern(ExtState(s2, nodes2, own)), own, reward)
+        result = (self.intern(ExtState(self.value_table.succ.item(row, joint), nodes, own)), own, reward)
         self._step_memo[key] = result
         return result
 
@@ -162,21 +159,15 @@ class BrDetPomdp:
 
         Row ``a * len(eids) + k`` is ``step(eids[k], a)``: rows are
         action-major and atom-minor, and new successors are interned in row
-        order.  A state outside the relaxation table raises
-        ``MissingStateError``.
+        order.
         """
         n = len(eids)
         ext = self._ext
-        table = self._table
+        table = self.value_table
         own = np.arange(n * self.action_count)
         atom = own % n  # the atom of each row
         own //= n
-        if table is not None:
-            rows = np.array([self._rows[e] for e in eids], dtype=np.int64)
-            if n and rows.min() < 0:
-                state = ext[eids[int(np.argmin(rows))]].state
-                raise MissingStateError(f"state {state} not covered by the value table")
-            rows = rows[atom]
+        rows = np.array([ext[e].row for e in eids], dtype=np.int64)[atom]
         if self._controllers is not None:
             nodes = np.array([ext[e].other_nodes for e in eids], dtype=np.int64)
             nodes = nodes.reshape(n, len(self.others))[atom]
@@ -188,15 +179,11 @@ class BrDetPomdp:
             greedy = self._default_policy.greedy[rows]
             others = greedy - greedy // self._stride % self.action_count * self._stride
         joint = own * self._stride + others
-        if table is not None:
-            succ_rows = table.succ[rows, joint]
-            rewards = table.palette[table.rewards[rows, joint]]
-            successors = table.state_ids[succ_rows]
-            obs = self.model.observation_batch(table.state_ids[rows], self._joint_actions[joint], successors)
-            succ_rows = succ_rows.tolist()
-        else:
-            states = np.array([ext[e].state for e in eids], dtype=np.int64)[atom]
-            successors, obs, rewards = self.model.step_batch(states, self._joint_actions[joint])
+        succ_rows = table.succ[rows, joint]
+        rewards = table.palette[table.rewards[rows, joint]]
+        obs = self.model.observation_batch(
+            self._state_ids[rows], self._joint_actions[joint], self._state_ids[succ_rows]
+        )
         own_obs = obs[:, self.agent].tolist()
         if self._controllers is not None and self.others:
             nodes2 = zip(*[
@@ -207,15 +194,13 @@ class BrDetPomdp:
             nodes2 = repeat(())
         ids = self._ids
         succ_ids = []
-        for k, key in enumerate(zip(successors.tolist(), nodes2, own_obs)):
+        for key in zip(succ_rows.tolist(), nodes2, own_obs):
             eid = ids.get(key)  # an ExtState hashes and compares as its plain tuple
             if eid is None:
                 eid = len(ext)
                 key = ExtState(*key)
                 ids[key] = eid
                 ext.append(key)
-                if table is not None:
-                    self._rows.append(succ_rows[k])
             succ_ids.append(eid)
         out = list(zip(succ_ids, own_obs, rewards.tolist()))
         # the search's controller evaluations step these states again, one at a time
@@ -224,37 +209,35 @@ class BrDetPomdp:
         return out
 
     def initial_belief(self) -> SupportBelief:
-        """One-to-one lift of the model's initial belief to extended states."""
+        """One-to-one lift of the model's initial belief to extended states.
+
+        An initial state outside the relaxation table raises
+        ``MissingStateError`` naming it, before any state is interned.
+        """
         if self._controllers is not None:
             nodes0 = tuple(self._controllers[j].initial_node for j in self.others)
         else:
             nodes0 = ()
+        b0 = self.model.initial_belief()
+        rows = [self.value_table.row(state) for state in b0.states]
+        if -1 in rows:
+            raise MissingStateError(f"state {b0.states[rows.index(-1)]} not covered by the value table")
         pairs = [
-            (self.intern(ExtState(state, nodes0, self.start_obs)), weight)
-            for state, weight in self.model.initial_belief()
+            (self.intern(ExtState(row, nodes0, self.start_obs)), weight)
+            for row, (_, weight) in zip(rows, b0)
         ]
         return SupportBelief.from_pairs(pairs)
 
     def is_terminal(self, eid: int) -> bool:
-        return self.model.is_terminal(self._ext[eid].state)
+        return self.model.is_terminal(self._state_ids.item(self._ext[eid].row))
 
-    def state_value_hint(self, eid: int) -> float | None:
-        """Upper bound from the fully-observable relaxation for the underlying state, if known.
+    def state_value_hint(self, eid: int) -> float:
+        """Upper bound from the fully-observable relaxation: a read of the state's row.
 
         It is the state's relaxation value widened by the table's
         ``error_bound``, so it stays admissible however loose ``mdp_tol`` is.
-        When the value table is the one the problem steps on, the value is a
-        read of the state's interned row.
         """
-        table = self.value_table
-        if table is None:
-            return None
-        if table is not self._table:
-            return table.value(self._ext[eid].state) + table.error_bound
-        row = self._rows[eid]
-        if row < 0:
-            raise MissingStateError(f"state {self._ext[eid].state} not covered by the value table")
-        return float(table.values[row]) + table.error_bound
+        return self._values.item(self._ext[eid].row) + self._error_bound
 
     def reward_bounds(self) -> tuple[float, float]:
         return self.model.reward_bounds()
@@ -264,7 +247,7 @@ def build_br_detpomdp(
     model: DetDecModel,
     policy: JointPolicy,
     agent: int,
-    value_table: MdpValueTable | None = None,
+    value_table: MdpValueTable,
     cache: TransitionCache | None = None,
 ) -> BrDetPomdp:
     """Best-response problem for ``agent`` against the policy's other controllers."""
@@ -286,19 +269,19 @@ def build_init_detpomdp(
     model: DetDecModel,
     agent: int,
     pi_mdp: MdpPolicy,
-    value_table: MdpValueTable | None = None,
     cache: TransitionCache | None = None,
 ) -> BrDetPomdp:
     """Initialization problem: the other agents play the default MDP policy.
 
     The default policy is memoryless, so extended states carry no node
-    components; everything else matches the best-response construction.
+    components; everything else matches the best-response construction,
+    on the table the default policy was read from.
     """
     return BrDetPomdp(
         model,
         agent,
         other_controllers=None,
         default_policy=pi_mdp,
-        value_table=value_table if value_table is not None else pi_mdp.table,
+        value_table=pi_mdp.table,
         cache=cache,
     )

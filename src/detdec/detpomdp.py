@@ -131,12 +131,9 @@ def _belief_terminal(belief: SupportBelief, m: BrDetPomdp) -> bool:
 
 def upper_bound(belief: SupportBelief, m: BrDetPomdp) -> float:
     """Admissible bound: fully-observable relaxation value over the support."""
-    rmin, rmax = m.reward_bounds()
-    fallback = max(rmax, 0.0) / (1.0 - m.discount)
     total = 0.0
     for (eid, _), fw in zip(belief.atoms, belief.float_weights):
-        hint = m.state_value_hint(eid)
-        total += fw * (fallback if hint is None else hint)
+        total += fw * m.state_value_hint(eid)
     return total
 
 
@@ -150,7 +147,7 @@ def fixed_action_value(m: BrDetPomdp, eid: int, action: int, memo: dict) -> floa
     def key_fn(e):
         ext = m.ext(e)
         # the future under a constant action ignores the stored last observation
-        return (action, ext.state, ext.other_nodes)
+        return (action, ext.row, ext.other_nodes)
 
     return trajectory_value(eid, step_fn, key_fn, m.is_terminal, m.discount, memo)
 
@@ -194,8 +191,8 @@ def fsc_value_in(
     def key_fn(point):
         eid, n = point
         ext = m.ext(eid)
-        # (state, other nodes, own node) determines the whole future
-        return (ext.state, ext.other_nodes, n)
+        # (state row, other nodes, own node) determines the whole future
+        return (ext.row, ext.other_nodes, n)
 
     def terminal_fn(point):
         return m.is_terminal(point[0])

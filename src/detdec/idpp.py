@@ -122,11 +122,6 @@ def _equilibrium_gap(history: list[IterationRecord]) -> float | None:
     )
 
 
-def _prepare_mdp(model: DetDecModel, params: IdppParams):
-    table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
-    return table, default_policy(table, model)
-
-
 def heuristic_init(
     model: DetDecModel,
     params: IdppParams | None = None,
@@ -137,16 +132,15 @@ def heuristic_init(
     if params is None:
         params = IdppParams()
     if table is None:
-        table, pi_mdp = _prepare_mdp(model, params)
-    else:
-        pi_mdp = default_policy(table, model)
+        table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
+    pi_mdp = default_policy(table, model)
     if cache is None:
         cache = TransitionCache(model)
     controllers: list[Fsc] = []
     records: list[InitRecord] = []
     for agent in range(model.agent_count):
         t0 = time.perf_counter()
-        problem = build_init_detpomdp(model, agent, pi_mdp, value_table=table, cache=cache)
+        problem = build_init_detpomdp(model, agent, pi_mdp, cache=cache)
         result = solve(problem, problem.initial_belief(), params.solve)
         controllers.append(result.fsc)
         records.append(
@@ -163,16 +157,11 @@ def heuristic_init(
     return InitResult(policy=policy, records=records, value=exact_value(model, policy))
 
 
-def run(
-    model: DetDecModel,
-    params: IdppParams | None = None,
-    table: MdpValueTable | None = None,
-) -> RunResult:
+def run(model: DetDecModel, params: IdppParams | None = None) -> RunResult:
     """Heuristic initialization followed by the iterative best-response loop."""
     if params is None:
         params = IdppParams()
-    if table is None:
-        table, _ = _prepare_mdp(model, params)
+    table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
     cache = TransitionCache(model)
     init = heuristic_init(model, params, table=table, cache=cache)
     policy = init.policy
@@ -259,12 +248,7 @@ def run(
     )
 
 
-def nash_check(
-    model: DetDecModel,
-    policy: JointPolicy,
-    params: IdppParams | None = None,
-    table: MdpValueTable | None = None,
-) -> list[float]:
+def nash_check(model: DetDecModel, policy: JointPolicy, params: IdppParams | None = None) -> list[float]:
     """Per-agent improvement gaps: best-response certified value minus joint value.
 
     At an equilibrium reported by :func:`run`, every gap is at most
@@ -272,8 +256,7 @@ def nash_check(
     """
     if params is None:
         params = IdppParams()
-    if table is None:
-        table, _ = _prepare_mdp(model, params)
+    table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
     cache = TransitionCache(model)
     joint = exact_value(model, policy)
     gaps = []

@@ -48,6 +48,7 @@ DEFAULT_STATE_CAP = 2_000_000
 _CHUNK_PAIRS = 1 << 16  # (state, joint action) pairs per transition_batch call
 _ROW_LIMIT = 2**31  # int32 successor rows
 _SWEEP_ROWS = 2048  # rows per block of a sweep or greedy pass
+_MAX_SWEEPS = 1_000_000
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing of reward bit patterns
 
 
@@ -114,7 +115,6 @@ def value_iteration(
     tol: float = DEFAULT_TOL,
     reachable_from: SupportBelief | None = None,
     state_cap: int = DEFAULT_STATE_CAP,
-    max_sweeps: int = 1_000_000,
 ) -> MdpValueTable:
     """Solve the relaxation over the reachable set to Bellman residual <= tol.
 
@@ -128,7 +128,7 @@ def value_iteration(
     table = MdpValueTable(state_ids, np.zeros(len(state_ids)), np.inf, model.discount, succ, rewards, palette)
     values = table.values
     backed_up = np.empty_like(values)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         for rows, q in _q_blocks(table, values):
             q.max(axis=1, out=backed_up[rows])
         residual = float(np.max(np.abs(backed_up - values)))
@@ -136,7 +136,7 @@ def value_iteration(
         if residual <= tol:
             break
     else:
-        raise RuntimeError(f"value iteration did not reach residual {tol} in {max_sweeps} sweeps")
+        raise RuntimeError(f"value iteration did not reach residual {tol} in {_MAX_SWEEPS} sweeps")
     table.values = values
     table.residual = residual
     return table

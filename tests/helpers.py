@@ -15,9 +15,11 @@ from detdec import (
     MactpSpec,
     SupportBelief,
     TabularModel,
+    build_br_detpomdp,
     collecting_generate,
     enumerate_joint_actions,
     mactp_generate,
+    value_iteration,
 )
 from detdec.rng import SplitMix64
 
@@ -203,6 +205,11 @@ def random_fsc(model, agent: int, rng: SplitMix64, max_nodes: int = 3) -> Fsc:
 
 def random_joint_policy(model, rng: SplitMix64, max_nodes: int = 3) -> JointPolicy:
     return JointPolicy([random_fsc(model, i, rng, max_nodes) for i in range(model.agent_count)])
+
+
+def br_problem(model, policy: JointPolicy, agent: int):
+    """Best-response problem for ``agent`` on the model's relaxation table."""
+    return build_br_detpomdp(model, policy, agent, value_iteration(model))
 
 
 def random_walk_states(model, rng: SplitMix64, walks: int = 5, steps: int = 30) -> list:

@@ -35,7 +35,7 @@ from detdec.errors import ResourceLimitError
 from detdec.idpp import run as idpp_run
 from detdec.rng import SplitMix64
 
-from helpers import random_joint_policy, small_instances
+from helpers import br_problem, random_joint_policy, small_instances
 
 # every solve of the suite must end with upper bounds at or above lower bounds
 pytestmark = pytest.mark.usefixtures("sound_bounds")
@@ -70,8 +70,9 @@ def test_02_best_response_soundness_oracle():
     for model in instances:
         policy = random_joint_policy(model, rng)
         joint = exact_value(model, policy)
+        table = value_iteration(model)
         for agent in range(model.agent_count):
-            br = build_br_detpomdp(model, policy, agent)
+            br = build_br_detpomdp(model, policy, agent, table)
             got = fsc_value_in(br, policy.controllers[agent], br.initial_belief())
             err = abs(got - joint)
             worst = max(worst, err)
@@ -94,12 +95,12 @@ def test_03_solver_optimality_oracle():
         model = mactp_generate(spec)
         table = value_iteration(model)
         pi = default_policy(table, model)
-        problems.append(build_init_detpomdp(model, 0, pi, value_table=table))
+        problems.append(build_init_detpomdp(model, 0, pi))
     for dims, seed in [((3, 2), 201), ((2, 3), 202), ((3, 3), 203), ((3, 3), 204)]:
         model = collecting_generate(CollectingSpec(dims[0], dims[1], 1, 1, seed))
         table = value_iteration(model)
         pi = default_policy(table, model)
-        problems.append(build_init_detpomdp(model, 0, pi, value_table=table))
+        problems.append(build_init_detpomdp(model, 0, pi))
     rng = SplitMix64(77)
     for spec in [MactpSpec(2, 2, 2, 301), MactpSpec(2, 2, 3, 302),
                  MactpSpec(3, 2, 2, 303), MactpSpec(3, 2, 3, 304)]:
@@ -178,7 +179,7 @@ def test_04_determinism_and_support_properties():
     problems = []
     for model in instances[:6]:
         policy = random_joint_policy(model, rng)
-        problems.append(build_br_detpomdp(model, policy, rng.randbelow(model.agent_count)))
+        problems.append(br_problem(model, policy, rng.randbelow(model.agent_count)))
     frontiers = [[p.initial_belief()] for p in problems]
     while checks < 100_000:
         i = rng.randbelow(len(problems))
@@ -210,8 +211,7 @@ def _idpp_criterion_runs(make_model, seeds):
     improved = 0
     for seed in seeds:
         model = make_model(seed)
-        table = value_iteration(model, tol=IDPP_PARAMS.mdp_tol, state_cap=IDPP_PARAMS.state_cap)
-        result = idpp_run(model, IDPP_PARAMS, table=table)
+        result = idpp_run(model, IDPP_PARAMS)
         # (a) accepted values strictly increase
         accepted = [rec.post_value for rec in result.history if rec.accepted]
         for a, b in zip(accepted, accepted[1:]):
@@ -223,7 +223,7 @@ def _idpp_criterion_runs(make_model, seeds):
         assert result.final_value >= result.init_value - 1e-12
         # (c) equilibrium gaps at termination
         if result.converged:
-            gaps = nash_check(model, result.policy, IDPP_PARAMS, table=table)
+            gaps = nash_check(model, result.policy, IDPP_PARAMS)
             for gap in gaps:
                 assert gap <= IDPP_PARAMS.value_tolerance + IDPP_PARAMS.solve.epsilon + 1e-9
         if result.final_value > result.init_value + IDPP_PARAMS.value_tolerance:

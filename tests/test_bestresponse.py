@@ -25,7 +25,7 @@ from detdec.detpomdp import _BATCH_MIN_ATOMS, _Search
 from detdec.model import SupportBelief
 from detdec.rng import SplitMix64
 
-from helpers import action_obs_model, random_joint_policy, small_instances, tiny_mactp, zero_reward_model
+from helpers import action_obs_model, br_problem, random_joint_policy, small_instances, tiny_mactp, zero_reward_model
 
 
 def _mdp_policy(model):
@@ -38,23 +38,23 @@ class TestConstruction:
         m = tiny_mactp(agents=2, probs=())
         policy = JointPolicy([Fsc([FscNode(4)])])
         with pytest.raises(ValueError, match="controllers"):
-            build_br_detpomdp(m, policy, 0)
+            br_problem(m, policy, 0)
 
     def test_agent_index_range(self):
         m = tiny_mactp(agents=1, probs=())
         policy = JointPolicy([Fsc([FscNode(4)])])
         with pytest.raises(ValueError, match="agent index"):
-            build_br_detpomdp(m, policy, 1)
+            br_problem(m, policy, 1)
 
     def test_initial_belief_lifts_one_to_one(self):
         m = mactp_generate(MactpSpec(3, 2, 5, seed=2))
         policy = random_joint_policy(m, SplitMix64(3))
-        br = build_br_detpomdp(m, policy, 0)
+        br = br_problem(m, policy, 0)
         b0 = br.initial_belief()
         assert len(b0) == len(m.initial_belief()) == 32
         for (eid, w), (s, ws) in zip(b0.atoms, m.initial_belief().atoms):
             ext = br.ext(eid)
-            assert ext.state == s and w == ws
+            assert br.state(eid) == s and br.value_table.state_ids[ext.row] == s and w == ws
             assert ext.other_nodes == (policy.controllers[1].initial_node,)
             assert ext.last_obs == br.start_obs
 
@@ -62,8 +62,8 @@ class TestConstruction:
         m = tiny_mactp(agents=2, probs=())
         policy = JointPolicy([Fsc([FscNode(4)]), Fsc([FscNode(4), FscNode(5)])])
         with pytest.raises(ValueError, match="agent 1 node 1: action 5 outside"):
-            build_br_detpomdp(m, policy, 0)
-        build_br_detpomdp(m, policy, 1)  # an agent's own controller is not stepped
+            br_problem(m, policy, 0)
+        br_problem(m, policy, 1)  # an agent's own controller is not stepped
 
     def test_init_model_has_no_node_components(self):
         m = mactp_generate(MactpSpec(2, 2, 2, seed=2))
@@ -77,7 +77,7 @@ class TestStep:
     def test_determinism_repeats(self):
         m = mactp_generate(MactpSpec(3, 2, 4, seed=5))
         policy = random_joint_policy(m, SplitMix64(8))
-        br = build_br_detpomdp(m, policy, 0)
+        br = br_problem(m, policy, 0)
         b0 = br.initial_belief()
         eid = b0.states[3]
         first = br.step(eid, 1)
@@ -87,7 +87,7 @@ class TestStep:
     def test_emitted_obs_equals_successor_last_obs(self):
         m = mactp_generate(MactpSpec(3, 2, 4, seed=5))
         policy = random_joint_policy(m, SplitMix64(8))
-        br = build_br_detpomdp(m, policy, 1)
+        br = br_problem(m, policy, 1)
         rng = SplitMix64(4)
         frontier = list(br.initial_belief().states)
         for _ in range(300):
@@ -100,7 +100,7 @@ class TestStep:
     def test_unique_successor_exhaustive_on_small_instance(self):
         m = tiny_mactp(agents=2, probs=(Fraction(1, 2),))
         policy = random_joint_policy(m, SplitMix64(2))
-        br = build_br_detpomdp(m, policy, 0)
+        br = br_problem(m, policy, 0)
         seen = set(br.initial_belief().states)
         frontier = list(seen)
         while frontier:
@@ -121,7 +121,7 @@ class TestStep:
         m = tiny_mactp(agents=2, probs=())
         wait = Fsc([FscNode(4)])
         policy = JointPolicy([wait, wait])
-        br = build_br_detpomdp(m, policy, 0)
+        br = br_problem(m, policy, 0)
         b0 = br.initial_belief()
         eid = b0.states[0]
         _, _, r = br.step(eid, 1)  # move right along edge (1,2), weight 3
@@ -129,7 +129,7 @@ class TestStep:
 
     def test_local_action_range(self):
         m = tiny_mactp(agents=1, probs=())
-        br = build_br_detpomdp(m, JointPolicy([Fsc([FscNode(4)])]), 0)
+        br = br_problem(m, JointPolicy([Fsc([FscNode(4)])]), 0)
         eid = br.initial_belief().states[0]
         with pytest.raises(ValueError):
             br.step(eid, 5)
@@ -140,11 +140,9 @@ class TestInitProblem:
         m = tiny_mactp(agents=1, probs=())
         # table restricted to the terminal state only: initial states uncovered
         table = value_iteration(m, reachable_from=SupportBelief.point(m.pack((4,), 0, 1)))
-        pi = default_policy(table, m)
-        prob = build_init_detpomdp(m, 0, pi)
-        eid = prob.initial_belief().states[0]
-        with pytest.raises(MissingStateError):
-            prob.step(eid, 1)
+        prob = build_init_detpomdp(m, 0, default_policy(table, m))
+        with pytest.raises(MissingStateError, match=f"state {m.initial_belief().states[0]} not covered"):
+            prob.initial_belief()
 
     def test_single_agent_init_equals_br_equals_model(self):
         m = tiny_mactp(agents=1, probs=(Fraction(1, 2),))
@@ -158,7 +156,7 @@ class TestInitProblem:
         e0 = init_prob.initial_belief().states[0]
         e2, obs, r = init_prob.step(e0, 1)
         s2, jobs, jr = m.step(m.initial_belief().states[0], (1,))
-        assert (init_prob.ext(e2).state, obs, r) == (s2, jobs[0], jr)
+        assert (init_prob.state(e2), obs, r) == (s2, jobs[0], jr)
 
 
 class TestValueConsistency:
@@ -173,7 +171,7 @@ class TestValueConsistency:
         table2, _ = _mdp_policy(two)
         table1, pi1 = _mdp_policy(one)
         br = build_br_detpomdp(two, policy, 0, value_table=table2)
-        solo = build_init_detpomdp(one, 0, pi1, value_table=table1)
+        solo = build_init_detpomdp(one, 0, pi1)
         v_br = exact_belief_vi(br, br.initial_belief())
         v_solo = exact_belief_vi(solo, solo.initial_belief())
         assert v_br == pytest.approx(v_solo, abs=1e-9)
@@ -184,8 +182,9 @@ class TestValueConsistency:
         for model in small_instances(12, seed=500):
             policy = random_joint_policy(model, rng)
             joint = exact_value(model, policy)
+            table = value_iteration(model)
             for agent in range(model.agent_count):
-                br = build_br_detpomdp(model, policy, agent)
+                br = build_br_detpomdp(model, policy, agent, table)
                 got = fsc_value_in(br, policy.controllers[agent], br.initial_belief())
                 assert got == pytest.approx(joint, abs=1e-9)
                 checked += 1
@@ -201,16 +200,18 @@ def _draw(pool, size, rng):
     return sorted({pool[rng.randbelow(len(pool))] for _ in range(size)})
 
 
+MODELS = {
+    "mactp": mactp_generate(MactpSpec(3, 2, 4, seed=3)),
+    "collecting": collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3)),
+    "action-obs": action_obs_model(),
+    "zero-reward": zero_reward_model(),
+}
+
+
 def _parity_problems():
     """Factories of the problems the batched step must match, by name; each call builds a fresh one."""
-    models = {
-        "mactp": mactp_generate(MactpSpec(3, 2, 4, seed=3)),
-        "collecting": collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3)),
-        "action-obs": action_obs_model(),
-        "zero-reward": zero_reward_model(),
-    }
     cases = {}
-    for name, model in models.items():
+    for name, model in MODELS.items():
         table, pi = _mdp_policy(model)
         policy = random_joint_policy(model, SplitMix64(11))
         for agent in range(model.agent_count):
@@ -218,7 +219,6 @@ def _parity_problems():
             cases[f"{name}-a{agent}-br"] = (
                 lambda m=model, a=agent, p=policy, t=table: build_br_detpomdp(m, p, a, value_table=t)
             )
-            cases[f"{name}-a{agent}-br-no-table"] = (lambda m=model, a=agent, p=policy: build_br_detpomdp(m, p, a))
     return cases
 
 
@@ -274,48 +274,83 @@ class TestStepActions:
             assert _interned(batched) == _interned(scalar)
 
     def test_state_outside_the_table_is_named(self):
+        # the table is closed under stepping, so the lift is the one place a state can be missing
         m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
         # a table covering what one initial state reaches leaves other initial states out
         sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
+        missing = next(s for s in m.initial_belief().states if sub.row(s) < 0)
         policy = random_joint_policy(m, SplitMix64(11))
         for prob in (build_br_detpomdp(m, policy, 0, value_table=sub), build_init_detpomdp(m, 1, default_policy(sub, m))):
-            eids = list(prob.initial_belief().states)
-            missing = next(prob.ext(e).state for e in eids if sub.row(prob.ext(e).state) < 0)
             with pytest.raises(MissingStateError, match=f"state {missing} not covered"):
-                prob.step_actions(eids)
+                prob.initial_belief()
 
-    def test_init_problem_steps_by_the_default_policy_table(self):
-        # the default policy's rows index its own table, not the value table given for hints
-        m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
-        table, pi = _mdp_policy(m)
-        sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
-        assert len(sub) < len(table)
-        batched = build_init_detpomdp(m, 0, pi, value_table=sub)
-        scalar = build_init_detpomdp(m, 0, pi, value_table=sub)
-        eids = list(batched.initial_belief().states)
-        scalar.initial_belief()
-        rows = batched.step_actions(eids)
-        assert rows == [scalar.step(e, a) for a in range(batched.action_count) for e in eids]
-        assert _interned(batched) == _interned(scalar)
+
+class TestTableAgainstModel:
+    """Both step paths read the relaxation table; every row must be the model's own step."""
+
+    @pytest.mark.parametrize("kind", ["init", "br"])
+    @pytest.mark.parametrize("name", ["mactp", "collecting", "action-obs"])
+    def test_rows_equal_model_steps(self, name, kind):
+        model = MODELS[name]
+        table, pi = _mdp_policy(model)
+        policy = random_joint_policy(model, SplitMix64(11))
+        rng = SplitMix64(13)
+        checked = 0
+        for agent in range(model.agent_count):
+            for batched in (True, False):
+                if kind == "init":
+                    prob = build_init_detpomdp(model, agent, pi)
+                else:
+                    prob = build_br_detpomdp(model, policy, agent, table)
+                count = prob.action_count
+                frontier = list(prob.initial_belief().states)
+                for _ in range(5):
+                    eids = _draw(frontier, 12, rng)
+                    pairs = [(e, a) for a in range(count) for e in eids]
+                    rows = prob.step_actions(eids) if batched else [prob.step(e, a) for e, a in pairs]
+                    for (e, a), (e2, obs, reward) in zip(pairs, rows, strict=True):
+                        ext = prob.ext(e)
+                        if kind == "init":
+                            joint = list(pi.joint_action(prob.state(e)))
+                        else:
+                            joint = [0] * model.agent_count
+                            for j, n in zip(prob.others, ext.other_nodes):
+                                joint[j] = policy.controllers[j].nodes[n].action
+                        joint[agent] = a
+                        s2, jobs, r = model.step(prob.state(e), tuple(joint))
+                        assert (prob.state(e2), obs, reward) == (s2, jobs[agent], r)
+                        assert prob.ext(e2).last_obs == obs
+                        if kind == "br":
+                            assert prob.ext(e2).other_nodes == tuple(
+                                policy.controllers[j].advance(n, jobs[j]) for j, n in zip(prob.others, ext.other_nodes)
+                            )
+                        checked += 1
+                    frontier = sorted({e2 for e2, _, _ in rows})
+        assert checked >= 200
 
 
 class TestValueHints:
     def test_hints_read_the_interned_rows(self, monkeypatch):
-        # with the stepping table as value table, a hint needs no state-to-row search
+        # past the lift, neither a step nor a hint maps a state to its row
         m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
         table, pi = _mdp_policy(m)
         policy = random_joint_policy(m, SplitMix64(11))
         for prob in (build_br_detpomdp(m, policy, 0, value_table=table), build_init_detpomdp(m, 1, pi)):
-            eids = [e for e, _, _ in prob.step_actions(list(prob.initial_belief().states))]
-            expected = [table.value(prob.ext(e).state) + table.error_bound for e in eids]
+            b0 = list(prob.initial_belief().states)
             with monkeypatch.context() as patch:
-                patch.setattr(table, "row", lambda state: pytest.fail("hint searched the table"))
-                assert [prob.state_value_hint(e) for e in eids] == expected
+                patch.setattr(table, "row", lambda state: pytest.fail("searched the table for a row"))
+                eids = [e for e, _, _ in prob.step_actions(b0)]
+                eids += [prob.step(e, 0)[0] for e in eids]
+                hints = [prob.state_value_hint(e) for e in eids]
+            assert hints == [table.value(prob.state(e)) + table.error_bound for e in eids]
 
     def test_hint_outside_the_table_is_named(self):
+        # a lift that fails interns nothing, so every hint is asked of a covered row
         m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
         sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
-        prob = build_br_detpomdp(m, random_joint_policy(m, SplitMix64(11)), 0, value_table=sub)
-        missing = next(e for e in prob.initial_belief().states if sub.row(prob.ext(e).state) < 0)
-        with pytest.raises(MissingStateError, match=f"state {prob.ext(missing).state} not covered"):
-            prob.state_value_hint(missing)
+        missing = next(s for s in m.initial_belief().states if sub.row(s) < 0)
+        policy = random_joint_policy(m, SplitMix64(11))
+        for prob in (build_br_detpomdp(m, policy, 1, value_table=sub), build_init_detpomdp(m, 0, default_policy(sub, m))):
+            with pytest.raises(MissingStateError, match=f"state {missing} not covered"):
+                prob.initial_belief()
+            assert prob.interned_count == 0

@@ -33,13 +33,13 @@ from detdec.rng import SplitMix64, stream_seed
 
 import numpy as np
 
-from helpers import random_joint_policy, selfloop_model, tiny_mactp, zero_reward_model
+from helpers import br_problem, random_joint_policy, selfloop_model, tiny_mactp, zero_reward_model
 
 
 def _init_problem(model):
     table = value_iteration(model)
     pi = default_policy(table, model)
-    return build_init_detpomdp(model, 0, pi, value_table=table)
+    return build_init_detpomdp(model, 0, pi)
 
 
 def _zero_reward_problem():
@@ -97,7 +97,7 @@ class TestBeliefSuccessors:
     def test_partition_and_image_property(self):
         m = mactp_generate(MactpSpec(3, 2, 4, seed=31))
         policy = random_joint_policy(m, SplitMix64(7))
-        prob = build_br_detpomdp(m, policy, 0)
+        prob = br_problem(m, policy, 0)
         rng = SplitMix64(15)
         beliefs = [prob.initial_belief()]
         for _ in range(120):
@@ -152,7 +152,7 @@ class TestBounds:
         assert len(b0) == 1
         eid = b0.states[0]
         assert upper_bound(b0, prob) == pytest.approx(
-            prob.value_table.value(prob.ext(eid).state)
+            prob.value_table.value(prob.state(eid))
         )
 
     def test_lower_below_upper(self):
@@ -192,7 +192,7 @@ class TestExactBeliefVi:
         prob = _init_problem(m)
         b0 = prob.initial_belief()
         v = exact_belief_vi(prob, b0, tol=1e-10)
-        assert v == pytest.approx(prob.value_table.value(prob.ext(b0.states[0]).state), abs=1e-6)
+        assert v == pytest.approx(prob.value_table.value(prob.state(b0.states[0])), abs=1e-6)
 
     def test_symmetric_two_atoms_equal_single(self):
         # two states with identical dynamics and rewards, indistinguishable
@@ -229,7 +229,7 @@ class TestSolve:
         prob = _init_problem(m)
         b0 = prob.initial_belief()
         res = solve(prob, b0, SolveParams(epsilon=1e-4))
-        target = prob.value_table.value(prob.ext(b0.states[0]).state)
+        target = prob.value_table.value(prob.state(b0.states[0]))
         assert res.converged
         assert res.lower_bound == pytest.approx(target, abs=1e-4 + 1e-6)
 
@@ -564,7 +564,7 @@ class TestSweep:
         swept = [(n.lb, n.ub) for n in expanded]
         at_0 = 1 / (1 - gamma**2)  # state 0 earns 1 now and every second step
         for (lb, ub), n in zip(swept, expanded):
-            value = at_0 if prob.ext(n.belief.atoms[0][0]).state == 0 else gamma * at_0
+            value = at_0 if prob.state(n.belief.atoms[0][0]) == 0 else gamma * at_0
             assert lb == pytest.approx(value, abs=1e-9)
             assert ub == pytest.approx(value, abs=1e-9)
         for n in expanded:

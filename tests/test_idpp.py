@@ -59,7 +59,7 @@ class TestHeuristicInit:
         init = heuristic_init(m, FAST)
         table = value_iteration(m)
         pi = default_policy(table, m)
-        prob = build_init_detpomdp(m, 0, pi, value_table=table)
+        prob = build_init_detpomdp(m, 0, pi)
         direct = solve(prob, prob.initial_belief(), FAST.solve)
         assert init.value == pytest.approx(direct.lower_bound, abs=1e-9)
 
