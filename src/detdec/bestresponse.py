@@ -28,13 +28,15 @@ atoms cheap to hash, order, and compare.
 
 ``step`` moves one extended state under one own action: its successor row
 is a read of the table's ``succ``, its observation and reward come from the
-model through the transition cache.  ``step_actions`` moves a whole
-belief's atoms under every own action in one batched call: successors and
-rewards are gathers on ``succ`` and ``palette[rewards]``, the joint
-observation is the model's ``observation_batch`` and the other agents'
-nodes advance through ``FscArrays``.  Its rows equal ``step``'s, and it
-interns new successors in row order, the order in which ``step`` calls
-would meet them.
+model through the transition cache.  ``step_rows`` is the batched step: it
+moves (table row, other agents' nodes) rows under one own action each, with
+successors and rewards gathered from ``succ`` and ``palette[rewards]``, the
+joint observation from the model's ``observation_batch`` and the other
+agents' nodes advanced through ``FscArrays``; it interns nothing, so the
+search values controllers on it directly.  ``step_actions`` is
+``step_rows`` over a belief's atoms under every own action, followed by
+interning: its rows equal ``step``'s, and it interns new successors in row
+order, the order in which ``step`` calls would meet them.
 """
 from __future__ import annotations
 
@@ -99,11 +101,11 @@ class BrDetPomdp:
         self._stride = prod(sizes[agent + 1 :])
         self._joint_tuples = model.joint_actions()
         self._joint_actions = np.array(self._joint_tuples, dtype=np.int64)
-        if other_controllers is not None:
-            self._other_arrays = [
-                (j, FscArrays.checked(other_controllers[j], j, sizes[j]), prod(sizes[j + 1 :]))
-                for j in self.others
-            ]
+        # (agent, controller arrays, joint action stride) of each other agent with a controller
+        self._other_arrays = [] if other_controllers is None else [
+            (j, FscArrays.checked(other_controllers[j], j, sizes[j]), prod(sizes[j + 1 :]))
+            for j in self.others
+        ]
 
     # --- interning ---------------------------------------------------------
 
@@ -125,6 +127,11 @@ class BrDetPomdp:
     @property
     def interned_count(self) -> int:
         return len(self._ext)
+
+    @property
+    def other_node_counts(self) -> tuple[int, ...]:
+        """Node count of each other agent's controller (none in the initialization problem)."""
+        return tuple(arrays.actions.size for _, arrays, _ in self._other_arrays)
 
     # --- dynamics ----------------------------------------------------------
 
@@ -154,6 +161,30 @@ class BrDetPomdp:
         self._step_memo[key] = result
         return result
 
+    def step_rows(self, rows, nodes, actions):
+        """One step of each row under its own action, read from the relaxation table.
+
+        ``rows`` are table rows, ``nodes`` the other agents' node arrays (one
+        per agent of ``others``; none in the initialization problem) and
+        ``actions`` the own actions, one per row.  Returns (successor rows,
+        own observations, rewards, the other agents' next nodes).
+        """
+        if self._controllers is not None:
+            others = sum(arrays.actions[n] * stride for n, (_, arrays, stride) in zip(nodes, self._other_arrays))
+        else:
+            # the default joint action without its own-agent part
+            greedy = self._default_policy.greedy[rows]
+            others = greedy - greedy // self._stride % self.action_count * self._stride
+        joint = actions * self._stride + others
+        table = self.value_table
+        succ = table.succ[rows, joint]
+        rewards = table.palette[table.rewards[rows, joint]]
+        obs = self.model.observation_batch(
+            self._state_ids[rows], self._joint_actions[joint], self._state_ids[succ]
+        )
+        nodes = [arrays.advance(n, obs[:, j]) for n, (j, arrays, _) in zip(nodes, self._other_arrays)]
+        return succ, obs[:, self.agent], rewards, nodes
+
     def step_actions(self, eids) -> list[tuple[int, int, float]]:
         """``step`` of every state in ``eids`` under every own action, in one batch.
 
@@ -163,38 +194,18 @@ class BrDetPomdp:
         """
         n = len(eids)
         ext = self._ext
-        table = self.value_table
         own = np.arange(n * self.action_count)
         atom = own % n  # the atom of each row
         own //= n
         rows = np.array([ext[e].row for e in eids], dtype=np.int64)[atom]
-        if self._controllers is not None:
-            nodes = np.array([ext[e].other_nodes for e in eids], dtype=np.int64)
-            nodes = nodes.reshape(n, len(self.others))[atom]
-            others = sum(
-                arrays.actions[nodes[:, i]] * stride for i, (_, arrays, stride) in enumerate(self._other_arrays)
-            )
-        else:
-            # the default joint action without its own-agent part
-            greedy = self._default_policy.greedy[rows]
-            others = greedy - greedy // self._stride % self.action_count * self._stride
-        joint = own * self._stride + others
-        succ_rows = table.succ[rows, joint]
-        rewards = table.palette[table.rewards[rows, joint]]
-        obs = self.model.observation_batch(
-            self._state_ids[rows], self._joint_actions[joint], self._state_ids[succ_rows]
-        )
-        own_obs = obs[:, self.agent].tolist()
-        if self._controllers is not None and self.others:
-            nodes2 = zip(*[
-                arrays.advance(nodes[:, i], obs[:, j]).tolist()
-                for i, (j, arrays, _) in enumerate(self._other_arrays)
-            ])
-        else:
-            nodes2 = repeat(())
+        nodes = np.array([ext[e].other_nodes for e in eids], dtype=np.int64)
+        nodes = nodes.reshape(n, len(self._other_arrays))[atom]
+        succ, own_obs, rewards, nodes = self.step_rows(rows, list(nodes.T), own)
+        own_obs = own_obs.tolist()
+        nodes2 = zip(*[n.tolist() for n in nodes]) if nodes else repeat(())
         ids = self._ids
         succ_ids = []
-        for key in zip(succ_rows.tolist(), nodes2, own_obs):
+        for key in zip(succ.tolist(), nodes2, own_obs):
             eid = ids.get(key)  # an ExtState hashes and compares as its plain tuple
             if eid is None:
                 eid = len(ext)
@@ -202,11 +213,7 @@ class BrDetPomdp:
                 ids[key] = eid
                 ext.append(key)
             succ_ids.append(eid)
-        out = list(zip(succ_ids, own_obs, rewards.tolist()))
-        # the search's controller evaluations step these states again, one at a time
-        keys = np.array(eids, dtype=np.int64)[atom] * self.action_count + own
-        self._step_memo.update(zip(keys.tolist(), out))
-        return out
+        return list(zip(succ_ids, own_obs, rewards.tolist()))
 
     def initial_belief(self) -> SupportBelief:
         """One-to-one lift of the model's initial belief to extended states.

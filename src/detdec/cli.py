@@ -333,9 +333,13 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ValueError(f"algos must name at least one of idpp, init-only, got {args.algos!r}")
     for a in algos:
         if a not in ("idpp", "init-only"):
             raise ValueError(f"unknown algo {a!r}")
+    require_int_at_least("seeds", args.seeds, 1)
+    require_int_at_least("workers", args.workers, 1)
     base = {
         "gamma": args.gamma, "value_tolerance": args.value_tolerance,
         "max_rounds": args.max_rounds, "agent_order": args.order,

@@ -23,6 +23,13 @@ AND-OR search over these support beliefs:
   evaluated *exactly*; the certified lower bound reported to callers is
   that evaluated value, so certificates never overstate.
 
+Controllers are valued by ``fsc_values`` on a trajectory graph over points
+(table row, other agents' nodes, own node), built and valued by the same
+``evaluation`` functions as ``exact_value``'s joint-policy graph, each
+frontier stepped by one ``BrDetPomdp.step_rows`` call.  The best fixed
+action is read from the values of the controller whose node ``a`` repeats
+action ``a``.
+
 An expansion steps the belief's atoms under every action at once through
 ``BrDetPomdp.step_actions`` (gathers on the relaxation table) and groups
 each action's rows as ``belief_successors`` does, adding rewards in atom
@@ -45,8 +52,8 @@ import numpy as np
 
 from .bestresponse import BrDetPomdp
 from .errors import ResourceLimitError, require_int_at_least, require_positive_finite
-from .evaluation import trajectory_value
-from .fsc import Fsc, FscNode
+from .evaluation import graph_values, pack_points, trajectory_graph, unpack_points
+from .fsc import Fsc, FscArrays, FscNode
 from .model import SupportBelief
 
 _LB_EPS = 1e-12
@@ -137,70 +144,65 @@ def upper_bound(belief: SupportBelief, m: BrDetPomdp) -> float:
     return total
 
 
-def fixed_action_value(m: BrDetPomdp, eid: int, action: int, memo: dict) -> float:
-    """Exact value of repeating one action forever from an extended state."""
+def fsc_values(m: BrDetPomdp, fsc: Fsc, roots) -> np.ndarray:
+    """Exact value of executing ``fsc`` from each ``(extended state, node)`` root.
 
-    def step_fn(e):
-        e2, _, r = m.step(e, action)
-        return e2, r
+    A point is (table row, the other agents' nodes, own node), which fixes
+    the whole future (the stored last observation does not).  All roots
+    are valued in one trajectory graph, stepped by ``BrDetPomdp.step_rows``.
+    """
+    arrays = FscArrays.checked(fsc, m.agent, m.action_count)
+    sizes = m.other_node_counts + (len(fsc.nodes),)
+    state_ids = m.value_table.state_ids
 
-    def key_fn(e):
-        ext = m.ext(e)
-        # the future under a constant action ignores the stored last observation
-        return (action, ext.row, ext.other_nodes)
+    def step(points):
+        rows, nodes = unpack_points(points, sizes)
+        live = ~m.model.terminal_batch(state_ids[rows])
+        *others, own = [n[live] for n in nodes]
+        succ, obs, rewards, others = m.step_rows(rows[live], others, arrays.actions[own])
+        return live, pack_points(succ, [*others, arrays.advance(own, obs)], sizes), rewards
 
-    return trajectory_value(eid, step_fn, key_fn, m.is_terminal, m.discount, memo)
+    for _, node in roots:
+        if not 0 <= node < len(fsc.nodes):
+            raise ValueError(f"node index {node} outside [0, {len(fsc.nodes)})")
+    exts = [m.ext(eid) for eid, _ in roots]
+    nodes = np.array([ext.other_nodes + (node,) for ext, (_, node) in zip(exts, roots)], dtype=np.int64)
+    rows = np.array([ext.row for ext in exts], dtype=np.int64)
+    points, at = np.unique(pack_points(rows, list(nodes.T), sizes), return_inverse=True)
+    return graph_values(*trajectory_graph(points, step), m.discount)[at]
 
 
-def best_fixed_action(belief: SupportBelief, m: BrDetPomdp, memo: dict | None = None) -> tuple[float, int]:
-    """(value, action) of the best single fixed-action-forever policy."""
-    if memo is None:
-        memo = {}
+def _belief_values(m: BrDetPomdp, fsc: Fsc, starts) -> list[float]:
+    """Value of ``fsc`` from each ``(node, belief)`` start: the atoms' values weighted in atom order."""
+    roots = [(eid, node) for node, belief in starts for eid, _ in belief.atoms]
+    values = iter(fsc_values(m, fsc, roots).tolist())
+    out = []
+    for _, belief in starts:
+        total = 0.0
+        for fw in belief.float_weights:
+            total += fw * next(values)
+        out.append(total)
+    return out
+
+
+def best_fixed_action(belief: SupportBelief, m: BrDetPomdp) -> tuple[float, int]:
+    """(value, action) of the best single fixed-action-forever policy.
+
+    Node ``a`` of the controller valued here repeats action ``a`` forever.
+    """
+    fixed = Fsc([FscNode(a) for a in range(m.action_count)])
     best_v = -float("inf")
     best_a = 0
-    for a in range(m.action_count):
-        v = 0.0
-        for (eid, _), fw in zip(belief.atoms, belief.float_weights):
-            v += fw * fixed_action_value(m, eid, a, memo)
+    for a, v in enumerate(_belief_values(m, fixed, [(a, belief) for a in range(m.action_count)])):
         if v > best_v:
             best_v = v
             best_a = a
     return best_v, best_a
 
 
-def fsc_value_in(
-    m: BrDetPomdp,
-    fsc: Fsc,
-    belief: SupportBelief,
-    node: int | None = None,
-    memo: dict | None = None,
-) -> float:
+def fsc_value_in(m: BrDetPomdp, fsc: Fsc, belief: SupportBelief, node: int | None = None) -> float:
     """Exact value of executing ``fsc`` from ``node`` under belief ``belief``."""
-    if node is None:
-        node = fsc.initial_node
-    if memo is None:
-        memo = {}
-    nodes = fsc.nodes
-
-    def step_fn(point):
-        eid, n = point
-        entry = nodes[n]
-        e2, obs, r = m.step(eid, entry.action)
-        return (e2, entry.transitions.get(obs, entry.fallback)), r
-
-    def key_fn(point):
-        eid, n = point
-        ext = m.ext(eid)
-        # (state row, other nodes, own node) determines the whole future
-        return (ext.row, ext.other_nodes, n)
-
-    def terminal_fn(point):
-        return m.is_terminal(point[0])
-
-    total = 0.0
-    for (eid, _), fw in zip(belief.atoms, belief.float_weights):
-        total += fw * trajectory_value((eid, node), step_fn, key_fn, terminal_fn, m.discount, memo)
-    return total
+    return _belief_values(m, fsc, [(fsc.initial_node if node is None else node, belief)])[0]
 
 
 def exact_belief_vi(m: BrDetPomdp, b0: SupportBelief, tol: float = 1e-9, cap: int = 10_000) -> float:
@@ -317,7 +319,6 @@ class _Search:
             # past this depth the discounted tail cannot move bounds by epsilon
             self.max_depth = max(1, ceil(log(params.epsilon / span) / log(self.gamma)))
         self.nodes: dict[tuple, _Node] = {}
-        self.fixed_memo: dict = {}
         self.expansions = 0
         self.trials = 0
         self.trace: list[tuple[int, float, float, int]] = []
@@ -592,7 +593,7 @@ class _Search:
             if child.terminal:
                 action = 0
             else:
-                action = best_fixed_action(child.belief, self.m, self.fixed_memo)[1]
+                action = best_fixed_action(child.belief, self.m)[1]
             idx = cap_idx.get(action)
             if idx is None:
                 idx = len(drafts)
@@ -638,21 +639,17 @@ class _Search:
         best_v = -float("inf")
         for _ in range(50):
             fsc, node_map = self._extract()
-            memo: dict = {}
+            # node 0 is the root's; an unexpanded root maps to no search node
+            mapped = [(idx, bn) for idx, bn in enumerate(node_map) if bn is not None]
+            starts = [(idx, bn.belief) for idx, bn in mapped] or [(fsc.initial_node, self.root.belief)]
+            values = _belief_values(self.m, fsc, starts)
+            v_root = values[0]
             improved_bounds = False
-            v_root = None
-            for idx, bn in enumerate(node_map):
-                if bn is None:
-                    continue
-                v = fsc_value_in(self.m, fsc, bn.belief, idx, memo)
-                if idx == 0 and bn is self.root:
-                    v_root = v
+            for (_, bn), v in zip(mapped, values):
                 if v > bn.lb + _LB_EPS:
                     bn.lb = v  # achieved by an actual controller, hence sound
                     self.changed.append(bn)
                     improved_bounds = True
-            if v_root is None:
-                v_root = fsc_value_in(self.m, fsc, self.root.belief, fsc.initial_node, memo)
             if v_root > best_v + _LB_EPS:
                 best_v = v_root
                 best_fsc = fsc

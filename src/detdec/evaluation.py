@@ -16,6 +16,12 @@ in which points are found or valued does not change a float.  The policy
 value is the belief-weighted sum of the atoms' values, added up in atom
 order.
 
+The graph builder, ``trajectory_graph``, knows points only as int64 ids and
+takes the step as a callback; ``pack_points`` packs a state (or a table
+row) and controller nodes into one id.  The best-response search values its
+controllers with the same builder and ``graph_values``
+(``detpomdp.fsc_values``), so there is one controller evaluator.
+
 Monte Carlo evaluation draws initial states from the belief and truncates
 at a horizon; since per-atom rollouts are deterministic, each distinct
 sampled atom is rolled out once, as one lane of a lockstep rollout that a
@@ -28,7 +34,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from math import prod
-from typing import Callable, Hashable, Iterable, TypeVar
+from typing import Iterable
 
 import numpy as np
 
@@ -36,8 +42,6 @@ from .errors import ResourceLimitError, require_int_at_least
 from .fsc import FscArrays, JointPolicy
 from .model import DetDecModel, merge_new_ids, require_int64_state_ids
 from .rng import stream_seed
-
-X = TypeVar("X")
 
 
 def cycle_value(ahead: Iterable, gamma: float, length: int):
@@ -53,56 +57,6 @@ def cycle_value(ahead: Iterable, gamma: float, length: int):
         s = s + g * reward
         g *= gamma
     return s / (1.0 - gamma**length)
-
-
-def trajectory_value(
-    start: X,
-    step_fn: Callable[[X], tuple[X, float]],
-    key_fn: Callable[[X], Hashable],
-    terminal_fn: Callable[[X], bool],
-    gamma: float,
-    memo: dict,
-) -> float:
-    """Exact discounted return of the deterministic trajectory from ``start``.
-
-    ``key_fn`` must map a point to a key whose repetition implies the whole
-    future repeats.  ``memo`` caches the return at every visited key and may
-    be shared across calls for the same dynamics.
-    """
-    path_keys: list = []
-    path_rewards: list[float] = []
-    seen: dict = {}
-    cur = start
-    while True:
-        key = key_fn(cur)
-        tail = memo.get(key)
-        if tail is not None:
-            break
-        if terminal_fn(cur):
-            tail = 0.0
-            memo[key] = tail
-            break
-        p = seen.get(key)
-        if p is not None:
-            # first repeat: positions p.. form a cycle
-            cycle = path_rewards[p:]
-            length = len(cycle)
-            for off, cycle_key in enumerate(path_keys[p:]):
-                memo[cycle_key] = cycle_value(cycle[off:] + cycle[:off], gamma, length)
-            tail = memo[path_keys[p]]
-            del path_keys[p:]
-            del path_rewards[p:]
-            break
-        seen[key] = len(path_keys)
-        nxt, reward = step_fn(cur)
-        path_keys.append(key)
-        path_rewards.append(reward)
-        cur = nxt
-    acc = tail
-    for key, reward in zip(reversed(path_keys), reversed(path_rewards)):
-        acc = reward + gamma * acc
-        memo[key] = acc
-    return acc
 
 
 def _controller_arrays(model: DetDecModel, policy: JointPolicy) -> list[FscArrays]:
@@ -131,46 +85,60 @@ def _lockstep_step(model, controllers, states, nodes):
     return succ, nodes, rewards
 
 
-def _trajectory_graph(model, controllers, roots: np.ndarray):
-    """Every point reachable from ``(root, initial nodes)``: its successor row and reward.
+def pack_points(lead: np.ndarray, digits, sizes) -> np.ndarray:
+    """Point ids ``lead * prod(sizes) + code``, ``code`` the mixed-radix number of ``digits``.
 
-    A point ``(state, nodes)`` is packed as ``state * J + joint node code``,
-    ``J`` the product of the controller sizes.  Rows are ordered frontier by
-    frontier, each frontier by packed id, so ``roots`` (ascending) come
-    first.  A terminal point's successor row is -1.
+    ``digits[i]`` is an array of digits in ``[0, sizes[i])``, the first the
+    least significant.  ``lead`` (environment states, or int32 table rows)
+    is widened to int64 before the product, and an id past the int64 bound
+    raises ``ResourceLimitError``.
     """
-    sizes = [c.actions.size for c in controllers]
-    joint = prod(sizes)
-    radix = [prod(sizes[:i]) for i in range(len(sizes))]
-    state_bound = 2**63 // joint  # packed ids of states below it fit in int64
+    width = prod(sizes)
+    if lead.size and int(lead.max()) >= 2**63 // width:
+        raise ResourceLimitError(
+            f"point ids of {int(lead.max())} with {width} controller node combinations "
+            "pass the int64 bound 2**63 - 1"
+        )
+    code = lead.astype(np.int64, copy=False) * width
+    radix = 1
+    for d, k in zip(digits, sizes):
+        code += d * radix
+        radix *= k
+    return code
 
-    def pack(states, nodes):
-        if states.size and int(states.max()) >= state_bound:
-            raise ResourceLimitError(
-                f"evaluation point ids of state {int(states.max())} with {joint} joint controller "
-                "nodes pass the int64 bound 2**63 - 1"
-            )
-        code = states * joint
-        for r, n in zip(radix, nodes):
-            code = code + n * r
-        return code
 
-    frontier = pack(roots, [np.full(roots.size, c.initial_node, dtype=np.int64) for c in controllers])
-    known = frontier  # sorted ids of every point found so far
+def unpack_points(ids: np.ndarray, sizes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``(lead, digits)`` of the point ids ``pack_points`` made with these ``sizes``."""
+    lead, code = np.divmod(ids, prod(sizes))
+    digits = []
+    for k in sizes:
+        code, d = np.divmod(code, k)
+        digits.append(d)
+    return lead, digits
+
+
+def trajectory_graph(roots: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+    """Every point reachable from ``roots``: its successor row and reward.
+
+    ``roots`` are sorted, distinct int64 point ids.  ``step(ids)`` moves a
+    frontier of points one step: it returns a mask of the live points, the
+    successor ids of the live points and their rewards; a point that is not
+    live is terminal.  Rows are ordered frontier by frontier, each frontier
+    by id, so the roots come first.  A terminal point's successor row is -1.
+    """
+    frontier = roots
+    known = roots  # sorted ids of every point found so far
     layers, successors, rewards = [], [], []
     while frontier.size:
-        states, code = np.divmod(frontier, joint)
-        live = ~model.terminal_batch(states)
-        nodes = [code[live] // r % k for r, k in zip(radix, sizes)]
-        succ, nodes, reward = _lockstep_step(model, controllers, states[live], nodes)
+        live, succ, reward = step(frontier)
         nxt = np.full(frontier.size, -1, dtype=np.int64)
-        nxt[live] = pack(succ, nodes)
+        nxt[live] = succ
         rew = np.zeros(frontier.size)
         rew[live] = reward
         layers.append(frontier)
         successors.append(nxt)
         rewards.append(rew)
-        frontier, known = merge_new_ids(known, nxt[live])
+        frontier, known = merge_new_ids(known, succ)
 
     order = np.argsort(np.concatenate(layers))  # order[k] is the row of known[k]
     nxt = np.concatenate(successors)
@@ -179,7 +147,7 @@ def _trajectory_graph(model, controllers, roots: np.ndarray):
     return nxt, np.concatenate(rewards)
 
 
-def _graph_values(nxt: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
+def graph_values(nxt: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
     """Exact value of every point of a trajectory graph (successor row -1: terminal).
 
     Peeling points no other point leads to, layer by layer, leaves the
@@ -224,9 +192,18 @@ def _graph_values(nxt: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndar
 def exact_value(model: DetDecModel, policy: JointPolicy) -> float:
     """Exact discounted value of the joint policy from the initial belief."""
     controllers = _controller_arrays(model, policy)
+    sizes = [c.actions.size for c in controllers]
+
+    def step(points):
+        states, nodes = unpack_points(points, sizes)
+        live = ~model.terminal_batch(states)
+        succ, nodes, rewards = _lockstep_step(model, controllers, states[live], [n[live] for n in nodes])
+        return live, pack_points(succ, nodes, sizes), rewards
+
     belief = model.initial_belief()
-    roots = _atom_states(belief)
-    values = _graph_values(*_trajectory_graph(model, controllers, roots), model.discount)
+    states = _atom_states(belief)  # sorted and distinct, so the roots are too
+    roots = pack_points(states, [np.full(states.size, c.initial_node, dtype=np.int64) for c in controllers], sizes)
+    values = graph_values(*trajectory_graph(roots, step), model.discount)
     total = 0.0
     for weight, value in zip(belief.float_weights, values[: roots.size].tolist()):
         total += weight * value

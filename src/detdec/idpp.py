@@ -133,7 +133,7 @@ def heuristic_init(
         params = IdppParams()
     if table is None:
         table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
-    pi_mdp = default_policy(table, model)
+    pi_mdp = default_policy(table)
     if cache is None:
         cache = TransitionCache(model)
     controllers: list[Fsc] = []

@@ -32,16 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingStateError, ResourceLimitError, require_int_at_least, require_positive_finite
-from .model import (
-    DetDecModel,
-    JointAction,
-    StateId,
-    SupportBelief,
-    enumerate_joint_actions,
-    merge_new_ids,
-    require_int64_state_ids,
-)
+from .errors import ResourceLimitError, require_int_at_least, require_positive_finite
+from .model import DetDecModel, StateId, SupportBelief, merge_new_ids, require_int64_state_ids
 
 DEFAULT_TOL = 1e-6
 DEFAULT_STATE_CAP = 2_000_000
@@ -73,12 +65,6 @@ class MdpValueTable:
         k = int(ids.searchsorted(state))
         return k if ids[k] == state else -1
 
-    def value(self, state: StateId) -> float:
-        k = self.row(state)
-        if k < 0:
-            raise MissingStateError(f"state {state} not covered by the value table")
-        return float(self.values[k])
-
     def __len__(self) -> int:
         return len(self.state_ids)
 
@@ -101,13 +87,6 @@ class MdpPolicy:
 
     table: MdpValueTable
     greedy: np.ndarray  # joint action index per table row
-    joint_actions: tuple[JointAction, ...]
-
-    def joint_action(self, state: StateId) -> JointAction:
-        k = self.table.row(state)
-        if k < 0:
-            raise MissingStateError(f"state {state} not covered by the MDP policy")
-        return self.joint_actions[int(self.greedy[k])]
 
 
 def value_iteration(
@@ -262,13 +241,9 @@ def _reachable_tables(
     return known, by_id, rewards[known_rows], palette.values
 
 
-def default_policy(table: MdpValueTable, model: DetDecModel) -> MdpPolicy:
+def default_policy(table: MdpValueTable) -> MdpPolicy:
     """Greedy joint action per stored state; argmax takes the lowest joint index."""
     greedy = np.empty(len(table), dtype=np.int64)
     for rows, q in _q_blocks(table, table.values):
         q.argmax(axis=1, out=greedy[rows])
-    return MdpPolicy(
-        table=table,
-        greedy=greedy,
-        joint_actions=enumerate_joint_actions(model.action_space_sizes),
-    )
+    return MdpPolicy(table=table, greedy=greedy)

@@ -21,6 +21,7 @@ from detdec import (
     mactp_generate,
     value_iteration,
 )
+from detdec.evaluation import cycle_value
 from detdec.rng import SplitMix64
 
 
@@ -225,3 +226,49 @@ def random_walk_states(model, rng: SplitMix64, walks: int = 5, steps: int = 30) 
                 seen.add(s)
                 states.append(s)
     return states
+
+
+def trajectory_value(start, step_fn, key_fn, terminal_fn, gamma: float, memo: dict) -> float:
+    """Scalar oracle: exact discounted return of the deterministic trajectory from ``start``.
+
+    It walks one point and one ``step_fn`` call at a time; the evaluators
+    under test value whole trajectory graphs instead.
+
+    ``key_fn`` must map a point to a key whose repetition implies the whole
+    future repeats.  ``memo`` caches the return at every visited key and may
+    be shared across calls for the same dynamics.
+    """
+    path_keys: list = []
+    path_rewards: list[float] = []
+    seen: dict = {}
+    cur = start
+    while True:
+        key = key_fn(cur)
+        tail = memo.get(key)
+        if tail is not None:
+            break
+        if terminal_fn(cur):
+            tail = 0.0
+            memo[key] = tail
+            break
+        p = seen.get(key)
+        if p is not None:
+            # first repeat: positions p.. form a cycle
+            cycle = path_rewards[p:]
+            length = len(cycle)
+            for off, cycle_key in enumerate(path_keys[p:]):
+                memo[cycle_key] = cycle_value(cycle[off:] + cycle[:off], gamma, length)
+            tail = memo[path_keys[p]]
+            del path_keys[p:]
+            del path_rewards[p:]
+            break
+        seen[key] = len(path_keys)
+        nxt, reward = step_fn(cur)
+        path_keys.append(key)
+        path_rewards.append(reward)
+        cur = nxt
+    acc = tail
+    for key, reward in zip(reversed(path_keys), reversed(path_rewards)):
+        acc = reward + gamma * acc
+        memo[key] = acc
+    return acc

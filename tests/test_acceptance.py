@@ -94,12 +94,12 @@ def test_03_solver_optimality_oracle():
     for spec in specs:
         model = mactp_generate(spec)
         table = value_iteration(model)
-        pi = default_policy(table, model)
+        pi = default_policy(table)
         problems.append(build_init_detpomdp(model, 0, pi))
     for dims, seed in [((3, 2), 201), ((2, 3), 202), ((3, 3), 203), ((3, 3), 204)]:
         model = collecting_generate(CollectingSpec(dims[0], dims[1], 1, 1, seed))
         table = value_iteration(model)
-        pi = default_policy(table, model)
+        pi = default_policy(table)
         problems.append(build_init_detpomdp(model, 0, pi))
     rng = SplitMix64(77)
     for spec in [MactpSpec(2, 2, 2, 301), MactpSpec(2, 2, 3, 302),

@@ -30,7 +30,7 @@ from helpers import action_obs_model, br_problem, random_joint_policy, small_ins
 
 def _mdp_policy(model):
     table = value_iteration(model)
-    return table, default_policy(table, model)
+    return table, default_policy(table)
 
 
 class TestConstruction:
@@ -140,7 +140,7 @@ class TestInitProblem:
         m = tiny_mactp(agents=1, probs=())
         # table restricted to the terminal state only: initial states uncovered
         table = value_iteration(m, reachable_from=SupportBelief.point(m.pack((4,), 0, 1)))
-        prob = build_init_detpomdp(m, 0, default_policy(table, m))
+        prob = build_init_detpomdp(m, 0, default_policy(table))
         with pytest.raises(MissingStateError, match=f"state {m.initial_belief().states[0]} not covered"):
             prob.initial_belief()
 
@@ -280,7 +280,7 @@ class TestStepActions:
         sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
         missing = next(s for s in m.initial_belief().states if sub.row(s) < 0)
         policy = random_joint_policy(m, SplitMix64(11))
-        for prob in (build_br_detpomdp(m, policy, 0, value_table=sub), build_init_detpomdp(m, 1, default_policy(sub, m))):
+        for prob in (build_br_detpomdp(m, policy, 0, value_table=sub), build_init_detpomdp(m, 1, default_policy(sub))):
             with pytest.raises(MissingStateError, match=f"state {missing} not covered"):
                 prob.initial_belief()
 
@@ -311,7 +311,7 @@ class TestTableAgainstModel:
                     for (e, a), (e2, obs, reward) in zip(pairs, rows, strict=True):
                         ext = prob.ext(e)
                         if kind == "init":
-                            joint = list(pi.joint_action(prob.state(e)))
+                            joint = list(model.joint_actions()[pi.greedy[ext.row]])
                         else:
                             joint = [0] * model.agent_count
                             for j, n in zip(prob.others, ext.other_nodes):
@@ -342,7 +342,7 @@ class TestValueHints:
                 eids = [e for e, _, _ in prob.step_actions(b0)]
                 eids += [prob.step(e, 0)[0] for e in eids]
                 hints = [prob.state_value_hint(e) for e in eids]
-            assert hints == [table.value(prob.state(e)) + table.error_bound for e in eids]
+            assert hints == [table.values[table.row(prob.state(e))] + table.error_bound for e in eids]
 
     def test_hint_outside_the_table_is_named(self):
         # a lift that fails interns nothing, so every hint is asked of a covered row
@@ -350,7 +350,7 @@ class TestValueHints:
         sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
         missing = next(s for s in m.initial_belief().states if sub.row(s) < 0)
         policy = random_joint_policy(m, SplitMix64(11))
-        for prob in (build_br_detpomdp(m, policy, 1, value_table=sub), build_init_detpomdp(m, 0, default_policy(sub, m))):
+        for prob in (build_br_detpomdp(m, policy, 1, value_table=sub), build_init_detpomdp(m, 0, default_policy(sub))):
             with pytest.raises(MissingStateError, match=f"state {missing} not covered"):
                 prob.initial_belief()
             assert prob.interned_count == 0

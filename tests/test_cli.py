@@ -260,6 +260,17 @@ class TestBench:
         inst = _gen_instance(tmp_path)
         assert main(["bench", "--instance", str(inst), "--algos", "magic"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--seeds", "0", "seeds"), ("--seeds", "-3", "seeds"), ("--workers", "0", "workers"),
+        ("--workers", "-1", "workers"), ("--algos", "", "algos"), ("--algos", " , ", "algos"),
+    ])
+    def test_empty_matrix_is_error(self, tmp_path, capsys, flag, value, field):
+        inst = _gen_instance(tmp_path)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--instance", str(inst), "--out", str(out), flag, value]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {field} must")
+        assert not out.exists()
+
     def test_parallel_workers_match_sequential(self, tmp_path):
         inst = _gen_instance(tmp_path, edges=2)
         args = ["bench", "--instance", str(inst), "--algos", "init-only", "--seeds", "2",

@@ -28,17 +28,28 @@ from detdec import (
     upper_bound,
     value_iteration,
 )
+from detdec.bestresponse import BrDetPomdp
 from detdec.detpomdp import _Node, _Search
 from detdec.rng import SplitMix64, stream_seed
 
 import numpy as np
 
-from helpers import br_problem, random_joint_policy, selfloop_model, tiny_mactp, zero_reward_model
+from helpers import (
+    action_obs_model,
+    br_problem,
+    observation_pool,
+    random_fsc,
+    random_joint_policy,
+    selfloop_model,
+    tiny_mactp,
+    trajectory_value,
+    zero_reward_model,
+)
 
 
 def _init_problem(model):
     table = value_iteration(model)
-    pi = default_policy(table, model)
+    pi = default_policy(table)
     return build_init_detpomdp(model, 0, pi)
 
 
@@ -152,7 +163,7 @@ class TestBounds:
         assert len(b0) == 1
         eid = b0.states[0]
         assert upper_bound(b0, prob) == pytest.approx(
-            prob.value_table.value(prob.state(eid))
+            prob.value_table.values[prob.ext(eid).row]
         )
 
     def test_lower_below_upper(self):
@@ -173,7 +184,7 @@ class TestBounds:
         model = selfloop_model(reward=1.0, gamma=0.9)
         prob = _init_problem(model)
         exact = exact_value(model, JointPolicy([Fsc([FscNode(0)])]))
-        assert exact == 10.000000000000002 and prob.value_table.value(0) < exact
+        assert exact == 10.000000000000002 and prob.value_table.values[prob.value_table.row(0)] < exact
         search = _Search(prob, prob.initial_belief(), SolveParams())
         assert search.root.ub >= exact
 
@@ -186,13 +197,130 @@ class TestBounds:
         assert fsc_value_in(prob, fsc, b0) == pytest.approx(value, abs=1e-12)
 
 
+def _oracle_fsc_value(m, fsc, belief, node, rows=None):
+    """``fsc_value_in`` by the scalar oracle: one ``BrDetPomdp.step`` at a time.
+
+    ``rows``, if given, collects the table row of every point visited.
+    """
+
+    def step_fn(point):
+        eid, n = point
+        e2, obs, reward = m.step(eid, fsc.nodes[n].action)
+        return (e2, fsc.advance(n, obs)), reward
+
+    def key_fn(point):
+        ext = m.ext(point[0])
+        if rows is not None:
+            rows.add(ext.row)
+        return (ext.row, ext.other_nodes, point[1])
+
+    def terminal_fn(point):
+        return m.is_terminal(point[0])
+
+    memo: dict = {}
+    total = 0.0
+    for (eid, _), fw in zip(belief.atoms, belief.float_weights):
+        total += fw * trajectory_value((eid, node), step_fn, key_fn, terminal_fn, m.discount, memo)
+    return total
+
+
+def _oracle_best_fixed_action(m, belief):
+    best_v, best_a = -float("inf"), 0
+    for a in range(m.action_count):
+        v = _oracle_fsc_value(m, Fsc([FscNode(a)]), belief, 0)
+        if v > best_v:
+            best_v, best_a = v, a
+    return best_v, best_a
+
+
+def _sized_fsc(model, agent, rng, size):
+    """A random ``size``-node controller mapping every observation a short walk meets."""
+    pool = observation_pool(model, agent, rng)
+    actions = model.action_space_sizes[agent]
+    return Fsc([
+        FscNode(rng.randbelow(actions), {obs: rng.randbelow(size) for obs in pool}, rng.randbelow(size))
+        for _ in range(size)
+    ])
+
+
+class TestSearchEvaluator:
+    """``fsc_value_in`` and ``best_fixed_action`` value trajectory graphs; the scalar walk must agree to the bit."""
+
+    MODELS = {
+        "mactp": lambda: mactp_generate(MactpSpec(3, 2, 4, seed=3)),
+        "collecting": lambda: collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3)),
+        "action-obs": action_obs_model,
+    }
+
+    @pytest.mark.parametrize("kind", ["init", "br"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_values_equal_the_scalar_oracle(self, name, kind):
+        model = self.MODELS[name]()
+        table = value_iteration(model)
+        rng = SplitMix64(23)
+        checked = 0
+        for agent in range(model.agent_count):
+            if kind == "init":
+                prob = build_init_detpomdp(model, agent, default_policy(table))
+            else:
+                prob = build_br_detpomdp(model, random_joint_policy(model, rng, max_nodes=4), agent, table)
+            b0 = prob.initial_belief()
+            beliefs = [b0] + [
+                post for a in range(prob.action_count) for _, _, post, _ in belief_successors(b0, a, prob)
+            ]
+            fsc = random_fsc(model, agent, rng, max_nodes=5)
+            for belief in beliefs:
+                assert best_fixed_action(belief, prob) == _oracle_best_fixed_action(prob, belief)
+                for node in range(len(fsc.nodes)):
+                    assert fsc_value_in(prob, fsc, belief, node) == _oracle_fsc_value(prob, fsc, belief, node)
+                    checked += 1
+        assert checked >= 20
+
+    def test_point_ids_past_int32(self):
+        # two 256-node controllers on 60,488 table rows: a point id is row * 65,536 + node code,
+        # past 2**31 for the rows above 32,767, so rows must be widened before they are packed
+        model = mactp_generate(MactpSpec(4, 2, 8, seed=0))
+        rng = SplitMix64(3)
+        policy = JointPolicy([_sized_fsc(model, agent, rng, 256) for agent in range(2)])
+        prob = build_br_detpomdp(model, policy, 0, value_iteration(model))
+        b0 = prob.initial_belief()
+        fsc = policy.controllers[0]
+        rows: set[int] = set()
+        expected = _oracle_fsc_value(prob, fsc, b0, fsc.initial_node, rows)
+        assert max(rows) * 256 * 256 >= 2**31
+        assert fsc_value_in(prob, fsc, b0) == expected
+        assert expected == exact_value(model, policy)
+
+    def test_node_outside_the_controller_is_named(self):
+        # a node past the controller would pack into the next digit of the point id
+        prob = _init_problem(tiny_mactp(agents=1, probs=()))
+        fsc = Fsc([FscNode(0), FscNode(1)])
+        for node in (2, -1):
+            with pytest.raises(ValueError, match=f"node index {node} outside"):
+                fsc_value_in(prob, fsc, prob.initial_belief(), node)
+
+    def test_no_scalar_step(self, monkeypatch):
+        model = mactp_generate(MactpSpec(3, 2, 4, seed=3))
+        table = value_iteration(model)
+        policy = random_joint_policy(model, SplitMix64(7))
+        for prob in (build_br_detpomdp(model, policy, 1, table), build_init_detpomdp(model, 0, default_policy(table))):
+            b0 = prob.initial_belief()
+            fsc = random_fsc(model, prob.agent, SplitMix64(8))
+            with monkeypatch.context() as patch:
+                patch.setattr(BrDetPomdp, "step", lambda *args: pytest.fail("stepped one state at a time"))
+                value = fsc_value_in(prob, fsc, b0)
+                best = best_fixed_action(b0, prob)
+            assert value == _oracle_fsc_value(prob, fsc, b0, fsc.initial_node)
+            assert best == _oracle_best_fixed_action(prob, b0)
+
+
 class TestExactBeliefVi:
     def test_singleton_equals_mdp_value(self):
         m = tiny_mactp(agents=1, probs=())
         prob = _init_problem(m)
         b0 = prob.initial_belief()
         v = exact_belief_vi(prob, b0, tol=1e-10)
-        assert v == pytest.approx(prob.value_table.value(prob.state(b0.states[0])), abs=1e-6)
+        assert v == pytest.approx(prob.value_table.values[prob.ext(b0.states[0]).row], abs=1e-6)
 
     def test_symmetric_two_atoms_equal_single(self):
         # two states with identical dynamics and rewards, indistinguishable
@@ -229,14 +357,14 @@ class TestSolve:
         prob = _init_problem(m)
         b0 = prob.initial_belief()
         res = solve(prob, b0, SolveParams(epsilon=1e-4))
-        target = prob.value_table.value(prob.state(b0.states[0]))
+        target = prob.value_table.values[prob.ext(b0.states[0]).row]
         assert res.converged
         assert res.lower_bound == pytest.approx(target, abs=1e-4 + 1e-6)
 
     @pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
     def test_non_finite_root_value_is_an_error(self, monkeypatch, bad):
         prob = _init_problem(tiny_mactp(agents=1, probs=()))
-        monkeypatch.setattr("detdec.detpomdp.fsc_value_in", lambda *args: bad)
+        monkeypatch.setattr("detdec.detpomdp.fsc_values", lambda m, fsc, roots: np.full(len(roots), bad))
         with pytest.raises(FloatingPointError, match=f"non-finite root value {bad!r}"):
             solve(prob, prob.initial_belief(), SolveParams(epsilon=1e-4))
 

@@ -17,10 +17,10 @@ from detdec import (
     mactp_generate,
     MactpSpec,
 )
-from detdec.evaluation import _bins, trajectory_value
+from detdec.evaluation import _bins
 from detdec.rng import SplitMix64, stream_seed
 
-from helpers import chain_model, observation_pool, random_joint_policy, selfloop_model, tiny_mactp
+from helpers import chain_model, observation_pool, random_joint_policy, selfloop_model, tiny_mactp, trajectory_value
 
 WAIT_POLICY_1 = JointPolicy([Fsc([FscNode(0)])])
 

@@ -58,7 +58,7 @@ class TestHeuristicInit:
         m = tiny_mactp(agents=1, probs=(Fraction(1, 2),))
         init = heuristic_init(m, FAST)
         table = value_iteration(m)
-        pi = default_policy(table, m)
+        pi = default_policy(table)
         prob = build_init_detpomdp(m, 0, pi)
         direct = solve(prob, prob.initial_belief(), FAST.solve)
         assert init.value == pytest.approx(direct.lower_bound, abs=1e-9)

@@ -3,7 +3,6 @@ import pytest
 
 from detdec import (
     CollectingSpec,
-    MissingStateError,
     ResourceLimitError,
     SupportBelief,
     TabularModel,
@@ -14,10 +13,9 @@ from detdec import (
     value_iteration,
 )
 from detdec import mdp
-from detdec.evaluation import trajectory_value
 from detdec.model import enumerate_joint_actions
 
-from helpers import absorbing_model, chain_model, selfloop_model
+from helpers import absorbing_model, chain_model, selfloop_model, trajectory_value
 
 
 def hand_bellman(model, tol=1e-12, sweeps=4000):
@@ -53,18 +51,18 @@ def hand_bellman(model, tol=1e-12, sweeps=4000):
 class TestValueIteration:
     def test_absorbing_state_is_zero(self):
         table = value_iteration(absorbing_model())
-        assert table.value(0) == 0.0
+        assert table.values[table.row(0)] == 0.0
 
     def test_selfloop_geometric_series(self):
         table = value_iteration(selfloop_model(reward=1.0, gamma=0.95), tol=1e-9)
-        assert table.value(0) == pytest.approx(20.0, abs=1e-7)
+        assert table.values[table.row(0)] == pytest.approx(20.0, abs=1e-7)
 
     def test_chain_matches_hand_bellman(self):
         m = chain_model(gamma=0.95)
         oracle = hand_bellman(m)
         table = value_iteration(m, tol=1e-9)
         for s, v in oracle.items():
-            assert table.value(s) == pytest.approx(v, abs=1e-6)
+            assert table.values[table.row(s)] == pytest.approx(v, abs=1e-6)
 
     @pytest.mark.parametrize(
         "model",
@@ -77,7 +75,7 @@ class TestValueIteration:
         assert table.state_ids.tolist() == sorted(oracle)
         assert max(oracle.values()) > 0  # goals or deliveries are reached
         for s, v in oracle.items():
-            assert table.value(s) == pytest.approx(v, abs=1e-6)
+            assert table.values[table.row(s)] == pytest.approx(v, abs=1e-6)
 
     def test_mactp_residual_invariant(self):
         m = mactp_generate(MactpSpec(3, 2, 3, seed=4))
@@ -86,9 +84,9 @@ class TestValueIteration:
         actions = enumerate_joint_actions(m.action_space_sizes)
         for s in table.state_ids[::7].tolist():
             backed = max(
-                m.step(s, a)[2] + m.discount * table.value(m.step(s, a)[0]) for a in actions
+                m.step(s, a)[2] + m.discount * table.values[table.row(m.step(s, a)[0])] for a in actions
             )
-            assert abs(table.value(s) - backed) <= tol
+            assert abs(table.values[table.row(s)] - backed) <= tol
 
     def test_deterministic_tables(self):
         m = mactp_generate(MactpSpec(3, 2, 3, seed=4))
@@ -112,8 +110,8 @@ class TestValueIteration:
 
     def test_missing_state(self):
         table = value_iteration(selfloop_model())
-        with pytest.raises(MissingStateError):
-            table.value(99)
+        assert table.row(99) == -1
+        assert table.row(0) == 0
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
@@ -181,7 +179,7 @@ class TestCompactTables:
         values, residual = jacobi_reference(table, tol)
         assert np.array_equal(table.values, values) and table.residual == residual
         q = table.palette[table.rewards] + table.gamma * table.values[table.succ]
-        assert np.array_equal(default_policy(table, self.MACTP).greedy, np.argmax(q, axis=1))
+        assert np.array_equal(default_policy(table).greedy, np.argmax(q, axis=1))
 
     def test_more_than_256_rewards_widen_the_codes(self):
         m = many_rewards_model()
@@ -196,17 +194,21 @@ class TestCompactTables:
             value_iteration(self.MACTP)
 
 
+def _greedy_action(model, pol, state):
+    return model.joint_actions()[pol.greedy[pol.table.row(state)]]
+
+
 class TestDefaultPolicy:
     def test_terminal_state_ties_break_to_first_action(self):
         m = chain_model()
-        pol = default_policy(value_iteration(m), m)
-        assert pol.joint_action(2) == (0,)  # all actions tie at value 0
+        pol = default_policy(value_iteration(m))
+        assert _greedy_action(m, pol, 2) == (0,)  # all actions tie at value 0
 
     def test_unique_best_action(self):
         m = chain_model()
-        pol = default_policy(value_iteration(m), m)
-        assert pol.joint_action(0) == (1,)  # move right toward the goal
-        assert pol.joint_action(1) == (1,)
+        pol = default_policy(value_iteration(m))
+        assert _greedy_action(m, pol, 0) == (1,)  # move right toward the goal
+        assert _greedy_action(m, pol, 1) == (1,)
 
     def test_crafted_tie_prefers_lower_index(self):
         # two actions with identical dynamics: argmax must pick index 0
@@ -217,26 +219,26 @@ class TestDefaultPolicy:
             (1, (1,)): (1, (0,), 0.0),
         }
         m = TabularModel(1, (2,), (1,), 0.9, t, SupportBelief.point(0), frozenset({1}))
-        pol = default_policy(value_iteration(m), m)
-        assert pol.joint_action(0) == (0,)
+        pol = default_policy(value_iteration(m))
+        assert _greedy_action(m, pol, 0) == (0,)
 
     def test_missing_state(self):
         m = chain_model()
-        pol = default_policy(value_iteration(m), m)
-        with pytest.raises(MissingStateError):
-            pol.joint_action(17)
+        pol = default_policy(value_iteration(m))
+        assert pol.table.row(17) == -1
+        assert len(pol.greedy) == len(pol.table) == 3
 
     def test_greedy_rollout_matches_value(self):
         m = mactp_generate(MactpSpec(2, 2, 2, seed=8))
         tol = 1e-8
         table = value_iteration(m, tol=tol)
-        pol = default_policy(table, m)
+        pol = default_policy(table)
 
         def step_fn(s):
-            s2, _, r = m.step(s, pol.joint_action(s))
+            s2, _, r = m.step(s, _greedy_action(m, pol, s))
             return s2, r
 
         memo = {}
         for s in table.state_ids[::5].tolist():
             got = trajectory_value(s, step_fn, lambda s: s, m.is_terminal, m.discount, memo)
-            assert abs(got - table.value(s)) <= tol / (1 - m.discount) + 1e-9
+            assert abs(got - table.values[table.row(s)]) <= tol / (1 - m.discount) + 1e-9
