@@ -185,19 +185,32 @@ def _belief_values(m: BrDetPomdp, fsc: Fsc, starts) -> list[float]:
     return out
 
 
-def best_fixed_action(belief: SupportBelief, m: BrDetPomdp) -> tuple[float, int]:
-    """(value, action) of the best single fixed-action-forever policy.
+def best_fixed_actions(beliefs: list[SupportBelief], m: BrDetPomdp) -> list[tuple[float, int]]:
+    """(value, action) of the best single fixed-action-forever policy from each belief.
 
-    Node ``a`` of the controller valued here repeats action ``a`` forever.
+    Node ``a`` of the controller valued here repeats action ``a`` forever;
+    all beliefs are valued in one graph.
     """
+    if not beliefs:
+        return []
     fixed = Fsc([FscNode(a) for a in range(m.action_count)])
-    best_v = -float("inf")
-    best_a = 0
-    for a, v in enumerate(_belief_values(m, fixed, [(a, belief) for a in range(m.action_count)])):
-        if v > best_v:
-            best_v = v
-            best_a = a
-    return best_v, best_a
+    values = iter(_belief_values(m, fixed, [(a, belief) for belief in beliefs for a in range(m.action_count)]))
+    out = []
+    for _ in beliefs:
+        best_v = -float("inf")
+        best_a = 0
+        for a in range(m.action_count):
+            v = next(values)
+            if v > best_v:
+                best_v = v
+                best_a = a
+        out.append((best_v, best_a))
+    return out
+
+
+def best_fixed_action(belief: SupportBelief, m: BrDetPomdp) -> tuple[float, int]:
+    """(value, action) of the best single fixed-action-forever policy."""
+    return best_fixed_actions([belief], m)[0]
 
 
 def fsc_value_in(m: BrDetPomdp, fsc: Fsc, belief: SupportBelief, node: int | None = None) -> float:
@@ -585,54 +598,59 @@ class _Search:
         return best_a
 
     def _extract(self) -> tuple[Fsc, list[_Node | None]]:
-        drafts: list[tuple[int, dict[int, int]]] = []
-        node_map: list[_Node | None] = []
-        cap_idx: dict[int, int] = {}
-
-        def cap_for(child: _Node) -> int:
-            if child.terminal:
-                action = 0
-            else:
-                action = best_fixed_action(child.belief, self.m)[1]
-            idx = cap_idx.get(action)
-            if idx is None:
-                idx = len(drafts)
-                cap_idx[action] = idx
-                drafts.append((action, {}))
-                node_map.append(None)
-            return idx
-
         root = self.root
         if root.acts is None or root.terminal:
-            cap_for(root)
-            nodes = [FscNode(a, dict(t), None) for a, t in drafts]
-            return Fsc(nodes, 0), node_map
+            (action,) = self._cap_actions([root])
+            return Fsc([FscNode(action, {}, None)], 0), [None]
 
-        index: dict[int, int] = {id(root): 0}
-        drafts.append((0, {}))  # placeholder, filled below
-        node_map.append(root)
+        # the lower-bound-greedy choices, breadth first from the root; a child
+        # that is terminal or unexpanded is capped
         queue = [root]
-        qi = 0
-        while qi < len(queue):
-            bn = queue[qi]
-            qi += 1
+        queued = {id(root)}
+        plan: list[tuple[int, list]] = []  # each queued node's action and its children's entries
+        capped: list[_Node] = []
+        for bn in queue:  # grows as new nodes are found
             action = self._greedy_action(bn)
+            entries = bn.acts[action][1]
+            for _, _, child in entries:
+                if child.acts is None or child.terminal:
+                    capped.append(child)
+                elif id(child) not in queued:
+                    queued.add(id(child))
+                    queue.append(child)
+            plan.append((action, entries))
+        cap_actions = iter(self._cap_actions(capped))
+
+        # number nodes in order of first sight: search nodes, and one cap node per action
+        drafts: list[tuple[int, dict[int, int]]] = [(0, {})]  # the root's, filled below
+        node_map: list[_Node | None] = [root]
+        index: dict[int, int] = {id(root): 0}
+        cap_idx: dict[int, int] = {}
+        for bn, (action, entries) in zip(queue, plan):
             transitions: dict[int, int] = {}
-            for obs, _, child in bn.acts[action][1]:
-                if child.acts is not None and not child.terminal:
-                    ci = index.get(id(child))
-                    if ci is None:
-                        ci = len(drafts)
-                        index[id(child)] = ci
-                        drafts.append((0, {}))
-                        node_map.append(child)
-                        queue.append(child)
-                    transitions[obs] = ci
+            for obs, _, child in entries:
+                if child.acts is None or child.terminal:
+                    cap = next(cap_actions)
+                    idx = cap_idx.get(cap)
+                    if idx is None:
+                        idx = cap_idx[cap] = len(drafts)
+                        drafts.append((cap, {}))
+                        node_map.append(None)
                 else:
-                    transitions[obs] = cap_for(child)
+                    idx = index.get(id(child))
+                    if idx is None:
+                        idx = index[id(child)] = len(drafts)
+                        drafts.append((0, {}))  # filled when its turn comes
+                        node_map.append(child)
+                transitions[obs] = idx
             drafts[index[id(bn)]] = (action, transitions)
         nodes = [FscNode(a, dict(t), None) for a, t in drafts]
         return Fsc(nodes, 0), node_map
+
+    def _cap_actions(self, capped: list[_Node]) -> list[int]:
+        """Each capped node's self-loop action: 0 if terminal, else its best fixed action."""
+        best = iter(best_fixed_actions([bn.belief for bn in capped if not bn.terminal], self.m))
+        return [0 if bn.terminal else next(best)[1] for bn in capped]
 
     def _extract_and_refine(self) -> tuple[Fsc, float]:
         best_fsc: Fsc | None = None

@@ -18,9 +18,15 @@ order.
 
 The graph builder, ``trajectory_graph``, knows points only as int64 ids and
 takes the step as a callback; ``pack_points`` packs a state (or a table
-row) and controller nodes into one id.  The best-response search values its
-controllers with the same builder and ``graph_values``
-(``detpomdp.fsc_values``), so there is one controller evaluator.
+row) and controller nodes into one id.  Each frontier's successors take
+their rows from a ``model.IdRows`` index as they are found (a large and a
+small recent sorted run, merged geometrically), so no frontier copies every
+known id.  ``graph_values`` works on arrays only: after peeling the points
+no other point leads to, every cycle point walks its cycle in lockstep to
+learn the cycle's length, and the points of one length take the closed
+form together.  The best-response search values its controllers with the
+same builder and ``graph_values`` (``detpomdp.fsc_values``), so there is
+one controller evaluator.
 
 Monte Carlo evaluation draws initial states from the belief and truncates
 at a horizon; since per-atom rollouts are deterministic, each distinct
@@ -31,7 +37,6 @@ a binary search over the cumulative weights gives, found mostly by bucket.
 from __future__ import annotations
 
 import warnings
-from collections import defaultdict
 from dataclasses import asdict, dataclass
 from math import prod
 from typing import Iterable
@@ -40,7 +45,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, require_int_at_least
 from .fsc import FscArrays, JointPolicy
-from .model import DetDecModel, merge_new_ids, require_int64_state_ids
+from .model import DetDecModel, IdRows, require_int64_state_ids
 from .rng import stream_seed
 
 
@@ -125,34 +130,40 @@ def trajectory_graph(roots: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
     successor ids of the live points and their rewards; a point that is not
     live is terminal.  Rows are ordered frontier by frontier, each frontier
     by id, so the roots come first.  A terminal point's successor row is -1.
+    Each frontier's successors take their rows from an ``IdRows`` index as
+    they are found.
     """
+    index = IdRows(roots)
     frontier = roots
-    known = roots  # sorted ids of every point found so far
-    layers, successors, rewards = [], [], []
+    successors, rewards = [], []
     while frontier.size:
         live, succ, reward = step(frontier)
         nxt = np.full(frontier.size, -1, dtype=np.int64)
-        nxt[live] = succ
         rew = np.zeros(frontier.size)
         rew[live] = reward
-        layers.append(frontier)
+        frontier = index.add(succ)
+        nxt[live] = index.rows(succ)
         successors.append(nxt)
         rewards.append(rew)
-        frontier, known = merge_new_ids(known, succ)
+    del index  # before the rows are copied out
+    return np.concatenate(successors), np.concatenate(rewards)
 
-    order = np.argsort(np.concatenate(layers))  # order[k] is the row of known[k]
-    nxt = np.concatenate(successors)
-    live = nxt >= 0
-    nxt[live] = order[np.searchsorted(known, nxt[live])]
-    return nxt, np.concatenate(rewards)
+
+def _ahead(nxt: np.ndarray, rewards: np.ndarray, rows: np.ndarray, steps: int):
+    """The rewards 0, 1, ..., ``steps - 1`` steps on from each of ``rows``."""
+    for _ in range(steps):
+        yield rewards[rows]
+        rows = nxt[rows]
 
 
 def graph_values(nxt: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
     """Exact value of every point of a trajectory graph (successor row -1: terminal).
 
     Peeling points no other point leads to, layer by layer, leaves the
-    cycles; cycle points take the closed form, and the peeled layers are
-    then valued in reverse, each point after its successor.
+    cycles.  Every cycle point then walks its cycle, all in lockstep, and
+    leaves the walk when it is back, which gives its cycle's length; the
+    points of each length take the closed form together.  The peeled
+    layers are valued last, in reverse, each point after its successor.
     """
     indegree = np.bincount(nxt[nxt >= 0], minlength=nxt.size)
     peeled = []
@@ -164,25 +175,20 @@ def graph_values(nxt: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarr
         indegree[targets] -= counts
         layer = targets[indegree[targets] == 0]
 
+    cyclic = np.flatnonzero(indegree > 0)
+    del indegree  # before the values are allocated
     values = np.zeros(nxt.size)
-    succ = nxt.tolist()
-    cycles = defaultdict(list)  # by length
-    seen = set()
-    for start in np.flatnonzero(indegree > 0).tolist():
-        if start in seen:
-            continue  # found with an earlier point of its cycle
-        cycle = [start]
-        row = succ[start]
-        while row != start:
-            cycle.append(row)
-            row = succ[row]
-        seen.update(cycle)
-        cycles[len(cycle)].append(cycle)
-    for length, group in cycles.items():
-        rows = np.array(group)  # one cycle per row, each entry followed by the next
-        offsets = np.arange(length)
-        ahead = (rewards[rows[:, (offsets + t) % length]] for t in range(length))
-        values[rows] = cycle_value(ahead, gamma, length)
+    lengths = np.empty(cyclic.size, dtype=np.int64)
+    walk, at = np.arange(cyclic.size), nxt[cyclic]  # walk[k] is at point at[k]
+    length = 1
+    while walk.size:
+        back = at == cyclic[walk]
+        lengths[walk[back]] = length
+        walk, at = walk[~back], nxt[at[~back]]
+        length += 1
+    for length in np.unique(lengths).tolist():
+        group = cyclic[lengths == length]
+        values[group] = cycle_value(_ahead(nxt, rewards, group, length), gamma, length)
     for layer in reversed(peeled):
         layer = layer[nxt[layer] >= 0]
         values[layer] = rewards[layer] + gamma * values[nxt[layer]]

@@ -9,8 +9,11 @@ single-agent solver consumes.
 Transitions are deterministic, so the reachability pass records one
 (successor, reward) pair per (state, joint action) and the sweeps become
 vectorized gathers over those tables.  Reachability runs frontier by
-frontier: the model's ``transition_batch`` fills each layer's rows, and new
-states are found by sorted-array membership against the known set.
+frontier: the model's ``transition_batch`` fills each layer's rows, and an
+``IdRows`` index (``model``) finds the layer's new states and gives every
+successor its layer-order row; it keeps the known states in a large and a
+small recent sorted run, so a layer copies the recent run, not every known
+state.
 
 Table layout.  Row ``k`` is the ``k``-th reachable state in ascending id
 order, so one sorted int64 array, ``state_ids``, maps rows to states (and
@@ -22,9 +25,9 @@ is the reward table.  A table costs ``n x J x (4 + code bytes)`` bytes for
 ``n`` states and ``J`` joint actions, 5 per (state, joint action) on both
 benchmarks, plus 16 bytes per state for ``state_ids`` and ``values``.
 Each layer's successors are int64 ids only until the layer's new states are
-merged; they are stored as int32 rows in layer order, and the tables are
-put in id order once at the end.  Sweeps run over fixed row blocks, so
-their temporaries are bounded by the block, not by the table.
+added to the index; they are stored as int32 rows in layer order, and the
+tables are put in id order once at the end.  Sweeps run over fixed row
+blocks, so their temporaries are bounded by the block, not by the table.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, require_int_at_least, require_positive_finite
-from .model import DetDecModel, StateId, SupportBelief, merge_new_ids, require_int64_state_ids
+from .model import DetDecModel, IdRows, StateId, SupportBelief, require_int64_state_ids
 
 DEFAULT_TOL = 1e-6
 DEFAULT_STATE_CAP = 2_000_000
@@ -201,8 +204,7 @@ def _reachable_tables(
     n_actions = model.num_joint_actions
     chunk = max(1, _CHUNK_PAIRS // n_actions)
     frontier = np.array(roots, dtype=np.int64)
-    known = frontier  # sorted ids of every state found so far
-    known_rows = np.arange(frontier.size, dtype=np.int32)  # the layer-order row of each known id
+    index = IdRows(frontier, np.int32)  # the layer-order row of every state found so far
     palette = _Palette()
     succ = np.empty((0, n_actions), dtype=np.int32)
     rewards = np.empty((0, n_actions), dtype=np.uint8)
@@ -216,22 +218,19 @@ def _reachable_tables(
             if codes.dtype != rewards.dtype:  # the palette outgrew the code dtype
                 rewards = rewards.astype(codes.dtype)
             rewards[start + lo : start + lo + chunk] = codes
-        new, merged = merge_new_ids(known, layer)
-        if merged.size > state_cap:
+        frontier = index.add(layer)
+        if index.size > state_cap:
             raise ResourceLimitError(f"reachable state set exceeds state_cap={state_cap}")
-        if merged.size > _ROW_LIMIT:
+        if index.size > _ROW_LIMIT:
             raise ResourceLimitError(f"reachable state set exceeds the int32 row bound {_ROW_LIMIT}")
-        next_row = start + frontier.size
-        known_rows = np.insert(
-            known_rows, known.searchsorted(new), np.arange(next_row, next_row + new.size, dtype=np.int32)
-        )
-        frontier, known = new, merged
-        succ.resize((next_row, n_actions), refcheck=False)
+        succ.resize((start + len(layer), n_actions), refcheck=False)
         for lo in range(0, len(layer), chunk):
-            succ[start + lo : start + lo + chunk] = known_rows.take(known.searchsorted(layer[lo : lo + chunk]))
+            succ[start + lo : start + lo + chunk] = index.rows(layer[lo : lo + chunk])
         del layer  # before the next layer's ids are allocated
 
     # known_rows[k] is the layer-order row of the k-th smallest id: gather rows into id order
+    known, known_rows = index.merged()
+    del index  # its runs, before the tables are reordered
     rank = np.empty_like(known_rows)
     rank[known_rows] = np.arange(known_rows.size, dtype=np.int32)
     by_id = np.empty_like(succ)

@@ -53,21 +53,80 @@ def checked_state_ids(states, state_card: int) -> np.ndarray:
     return states
 
 
-def merge_new_ids(known: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct ``ids`` missing from ``known``, sorted; ``known`` with them merged in).
+class IdRows:
+    """Rows of distinct int64 ids, numbered in the order the ids are added.
 
-    ``known`` is a sorted int64 array.  The sorted unique is a sort plus an
-    adjacent compare, not ``np.unique``: numpy 2's hashing unique ran about
-    18x slower than this sort on 5M ids.
+    The ids are held in two sorted runs, each beside its rows: a large run
+    and a small recent one.  ``add`` inserts into the recent run only, and
+    the recent run is merged into the large one once it holds more than an
+    eighth of it, so the large run grows geometrically and an id is copied
+    a few times in all, not once per ``add``.  A lookup is one
+    ``searchsorted`` per run.  An ``add`` of more than an eighth as many ids
+    as the large run holds merges too: looking those ids up in a second run
+    would cost more than the merge.
     """
-    found = np.sort(ids, axis=None)
-    distinct = np.ones(found.size, dtype=bool)
-    distinct[1:] = found[1:] != found[:-1]
-    found = found[distinct]
-    at = np.searchsorted(known, found)
-    seen = known[np.minimum(at, known.size - 1)] == found
-    new = found[~seen]
-    return new, np.insert(known, at[~seen], new)
+
+    def __init__(self, ids: np.ndarray, dtype=np.int64) -> None:
+        """``ids`` sorted and distinct, given rows 0, 1, ... of ``dtype``."""
+        self.size = ids.size
+        self._large = ids, np.arange(ids.size, dtype=dtype)
+        self._recent = ids[:0], np.empty(0, dtype=dtype)
+
+    def add(self, ids: np.ndarray) -> np.ndarray:
+        """The distinct ``ids`` not added before, sorted; each takes the next row, in that order.
+
+        The sorted unique is a sort plus an adjacent compare, not
+        ``np.unique``: numpy 2's hashing unique ran about 18x slower than
+        this sort on 5M ids.
+        """
+        found = np.sort(ids, axis=None)
+        distinct = np.ones(found.size, dtype=bool)
+        distinct[1:] = found[1:] != found[:-1]
+        found = found[distinct]
+        known = np.zeros(found.size, dtype=bool)
+        for run, _ in (self._large, self._recent):
+            if run.size:
+                known |= run.take(run.searchsorted(found), mode="clip") == found
+        new = found[~known]
+        rows = np.arange(self.size, self.size + new.size, dtype=self._recent[1].dtype)
+        self._recent = _merged_runs(*self._recent, new, rows)
+        self.size += new.size
+        if 8 * max(self._recent[0].size, ids.size) > self._large[0].size:
+            self._large = self.merged()
+            self._recent = new[:0], rows[:0]
+        return new
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """The row of each of ``ids``, every one of which was added."""
+        (large, large_rows), (recent, recent_rows) = self._large, self._recent
+        at = large.searchsorted(ids)
+        rows = large_rows.take(at, mode="clip")
+        if recent.size:
+            in_recent = large.take(at, mode="clip") != ids
+            rows = np.where(in_recent, recent_rows.take(recent.searchsorted(ids), mode="clip"), rows)
+        return rows
+
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """(every added id, sorted; the row of each)."""
+        return _merged_runs(*self._large, *self._recent)
+
+
+def _merged_runs(ids, rows, more_ids, more_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Two sorted runs of distinct ids, each beside its rows, merged into one.
+
+    A mask, not ``np.insert``, which costs about 10 us a call on small runs.
+    """
+    if not more_ids.size:
+        return ids, rows
+    if not ids.size:
+        return more_ids, more_rows
+    at = ids.searchsorted(more_ids) + np.arange(more_ids.size)
+    keep = np.ones(ids.size + more_ids.size, dtype=bool)
+    keep[at] = False
+    merged, merged_rows = np.empty(keep.size, dtype=ids.dtype), np.empty(keep.size, dtype=rows.dtype)
+    merged[keep], merged_rows[keep] = ids, rows
+    merged[at], merged_rows[at] = more_ids, more_rows
+    return merged, merged_rows
 
 
 class SupportBelief:

@@ -29,7 +29,8 @@ from detdec import (
     value_iteration,
 )
 from detdec.bestresponse import BrDetPomdp
-from detdec.detpomdp import _Node, _Search
+from detdec import detpomdp
+from detdec.detpomdp import _Node, _Search, best_fixed_actions
 from detdec.rng import SplitMix64, stream_seed
 
 import numpy as np
@@ -312,6 +313,53 @@ class TestSearchEvaluator:
                 best = best_fixed_action(b0, prob)
             assert value == _oracle_fsc_value(prob, fsc, b0, fsc.initial_node)
             assert best == _oracle_best_fixed_action(prob, b0)
+
+
+class TestBatchedCaps:
+    """An extraction values all its open frontier caps in one graph."""
+
+    @pytest.mark.parametrize("name", sorted(TestSearchEvaluator.MODELS))
+    def test_one_graph_equals_the_scalar_oracle(self, name):
+        model = TestSearchEvaluator.MODELS[name]()
+        table = value_iteration(model)
+        rng = SplitMix64(31)
+        for agent in range(model.agent_count):
+            prob = build_br_detpomdp(model, random_joint_policy(model, rng, max_nodes=4), agent, table)
+            b0 = prob.initial_belief()
+            beliefs = [b0] + [
+                post for a in range(prob.action_count) for _, _, post, _ in belief_successors(b0, a, prob)
+            ]
+            assert best_fixed_actions(beliefs, prob) == [_oracle_best_fixed_action(prob, b) for b in beliefs]
+        assert best_fixed_actions([], prob) == []
+
+    # solves that stop on their node budget with open caps; digests (as in
+    # TestPinnedSolve) taken when each cap was valued in a graph of its own
+    CASES = {
+        "mactp-3-2-5-br-300": (
+            lambda: _br_problem(mactp_generate(MactpSpec(3, 2, 5, seed=8)), 8, 0), 300,
+            "5a76768837a304eece8c5423b033e7581b04ce4d20cf0e0b801a1018a38c82c3",
+        ),
+        "collecting-3x3-a2-b1-br-30": (
+            lambda: _br_problem(collecting_generate(CollectingSpec(3, 3, 2, 1, 5)), 5, 1), 30,
+            "a3415ff47decad97670a1cf16837c0a0c4d64ca91a1aef24e289dba7f9b05176",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_result_digest(self, case, monkeypatch):
+        make, budget, expected = self.CASES[case]
+        prob = make()
+        batches = []
+        real = detpomdp.best_fixed_actions
+        monkeypatch.setattr(detpomdp, "best_fixed_actions", lambda beliefs, m: batches.append(len(beliefs)) or real(beliefs, m))
+        res = solve(prob, prob.initial_belief(), SolveParams(epsilon=1e-3, node_budget=budget))
+        assert res.status == "node_budget" and max(batches) > 1
+        fields = (
+            res.lower_bound, res.upper_bound, res.converged, res.status, res.expansions, res.trials,
+            res.trace, res.fsc.initial_node,
+            [(n.action, sorted(n.transitions.items()), n.fallback) for n in res.fsc.nodes],
+        )
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == expected
 
 
 class TestExactBeliefVi:

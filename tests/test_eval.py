@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from detdec import (
     CollectingSpec,
@@ -17,7 +20,9 @@ from detdec import (
     mactp_generate,
     MactpSpec,
 )
-from detdec.evaluation import _bins
+from detdec import evaluation
+from detdec.evaluation import _bins, graph_values, trajectory_graph
+from detdec.model import IdRows
 from detdec.rng import SplitMix64, stream_seed
 
 from helpers import chain_model, observation_pool, random_joint_policy, selfloop_model, tiny_mactp, trajectory_value
@@ -183,6 +188,171 @@ class TestAgainstScalarEvaluation:
         for evaluator in (exact_value, lambda m, p: mc_value(m, p, episodes=10)):
             with pytest.raises(ResourceLimitError, match="int64"):
                 evaluator(beyond, WAIT_POLICY_1)
+
+
+# --- the graph functions against a dict-based builder and the scalar walk
+
+
+def _relabeled(nxt: list[int], rng) -> list[int]:
+    """The same functional graph with its points in a random order."""
+    order = rng.permutation(len(nxt))  # point k becomes order[k]
+    out = [-1] * len(nxt)
+    for k, succ in enumerate(nxt):
+        out[order[k]] = -1 if succ < 0 else int(order[succ])
+    return out
+
+
+def _graph(cycles, terminals, tails, chained, seed):
+    """Successor rows (-1: terminal) of a functional graph, and a reward per point.
+
+    ``cycles`` lists cycle lengths (1 is a self-loop); each tail point leads
+    to an earlier point, with probability ``chained`` to the tail point just
+    before, so tails grow long and share their ends.
+    """
+    rng = np.random.default_rng(seed)
+    nxt: list[int] = []
+    for length in cycles:
+        start = len(nxt)
+        nxt += [start + (k + 1) % length for k in range(length)]
+    nxt += [-1] * terminals
+    for k in range(len(nxt), len(nxt) + tails):
+        nxt.append(k - 1 if rng.random() < chained else int(rng.integers(k)))
+    return _relabeled(nxt, rng), rng.uniform(-10.0, 10.0, len(nxt)).tolist()
+
+
+@st.composite
+def _functional_graphs(draw):
+    cycles = draw(st.lists(st.integers(1, 300), max_size=5))
+    terminals = draw(st.integers(0 if cycles else 1, 5))
+    return _graph(cycles, terminals, draw(st.integers(0, 600)), draw(st.floats(0.0, 1.0)),
+                  draw(st.integers(0, 2**32 - 1)))
+
+
+def _scalar_graph_values(nxt, rewards, gamma):
+    memo: dict = {}
+    return [
+        trajectory_value(p, lambda q: (nxt[q], rewards[q]), lambda q: q, lambda q: nxt[q] < 0, gamma, memo)
+        for p in range(len(nxt))
+    ]
+
+
+def _dict_graph(roots, succ, reward):
+    """``trajectory_graph``'s rows, built with dicts: frontier by frontier, each frontier by id."""
+    row = {p: k for k, p in enumerate(roots)}
+    order = list(roots)
+    frontier = list(roots)
+    while frontier:
+        frontier = sorted({succ[p] for p in frontier if p in succ} - row.keys())
+        for p in frontier:
+            row[p] = len(order)
+            order.append(p)
+    return [row[succ[p]] if p in succ else -1 for p in order], [reward.get(p, 0.0) for p in order]
+
+
+def _id_step(ids, nxt, rewards):
+    """(step callback, successor dict, reward dict) of a graph whose point ``k`` has id ``ids[k]``."""
+    succ = {ids[k]: ids[q] for k, q in enumerate(nxt) if q >= 0}
+    reward = {ids[k]: rewards[k] for k, q in enumerate(nxt) if q >= 0}
+
+    def step(points):
+        live = np.array([p in succ for p in points.tolist()], dtype=bool)
+        alive = points[live].tolist()
+        return live, np.array([succ[p] for p in alive], dtype=np.int64), np.array([reward[p] for p in alive])
+
+    return step, succ, reward
+
+
+def _many_roots_one_chain():
+    """1,000 roots that all lead into one 300-point chain, whose last point leads back to its 10th.
+
+    The chain's points arrive one per frontier, so the index's recent run
+    fills and is merged into the large run twice along the chain, and the
+    last lookup hits the large run.
+    """
+    roots, chain = 1000, 300
+    nxt = [roots] * roots + [roots + k + 1 for k in range(chain - 1)] + [roots + 10]
+    return nxt, [float(k % 7) for k in range(roots + chain)]
+
+
+class TestGraphFunctions:
+    """``graph_values`` gives the scalar walk's floats; ``trajectory_graph`` the dict builder's rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_functional_graphs(), st.sampled_from([0.5, 0.9, 0.95, 0.999]))
+    @example(([0], [1.5]), 0.95)  # a self-loop
+    @example(([-1], [1.5]), 0.95)  # a terminal point
+    @example(_graph([300], 0, 0, 0.0, 1), 0.9)  # one long cycle, entered at every point
+    @example(_graph([1, 2, 3, 250], 2, 600, 0.98, 2), 0.999)  # long shared tails
+    def test_graph_values_equal_the_scalar_walk(self, graph, gamma):
+        nxt, rewards = graph
+        values = graph_values(np.array(nxt, dtype=np.int64), np.array(rewards), gamma)
+        assert values.tolist() == _scalar_graph_values(nxt, rewards, gamma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_functional_graphs(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    @example(_many_roots_one_chain(), 0, 1.0)  # roots: the first 1,000 points
+    def test_trajectory_graph_equals_the_dict_builder(self, graph, seed, root_share):
+        nxt, rewards = graph
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(2**62, size=len(nxt), replace=False).tolist()  # sparse, in no order
+        roots = sorted(ids[k] for k in range(len(nxt)) if k < 1000 and rng.random() <= root_share) or [ids[0]]
+        step, succ, reward = _id_step(ids, nxt, rewards)
+        rows, row_rewards = trajectory_graph(np.array(roots, dtype=np.int64), step)
+        expected_rows, expected_rewards = _dict_graph(roots, succ, reward)
+        assert rows.tolist() == expected_rows
+        assert row_rewards.tolist() == expected_rewards
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 3000), max_size=60), min_size=1, max_size=80),
+           st.integers(1, 400))
+    @example([[2 * k + 1, 2 * k, 5] for k in range(300)], 1000)  # one new id a batch: the recent run fills
+    def test_id_rows_number_ids_in_order_of_addition(self, batches, roots):
+        index = IdRows(np.arange(0, 2 * roots, 2, dtype=np.int64))
+        row = {2 * k: k for k in range(roots)}
+        for batch in batches:
+            new = index.add(np.array(batch, dtype=np.int64))
+            assert new.tolist() == sorted(set(batch) - row.keys())
+            row.update({p: k for k, p in enumerate(new.tolist(), start=len(row))})
+            ids = sorted(row)
+            assert index.rows(np.array(ids, dtype=np.int64)).tolist() == [row[p] for p in ids]
+            assert 8 * index._recent[0].size <= index._large[0].size  # merged once past an eighth
+        ids, rows = index.merged()
+        assert ids.tolist() == sorted(row) and rows.tolist() == [row[p] for p in sorted(row)]
+        assert index.size == len(row)
+
+    def test_id_rows_look_up_both_runs(self):
+        index = IdRows(np.arange(0, 2000, 2, dtype=np.int64))
+        recent = []
+        for k in range(300):
+            index.add(np.array([2 * k + 1], dtype=np.int64))
+            recent.append(index._recent[0].size)
+            assert index.rows(np.array([2 * k + 1, 2 * k, 1], dtype=np.int64)).tolist() == [1000 + k, k, 1000]
+        assert recent[:126] == [*range(1, 126), 0]  # merged once past an eighth of 1,000
+        assert recent.count(0) == 2 and recent[-1] > 0
+
+
+class TestExactValueMemory:
+    def test_traced_peak_per_graph_point(self, monkeypatch):
+        """One ``exact_value`` call's traced peak stays under 90 bytes per graph point.
+
+        On this instance (22,912 points) it is about 59 bytes per point; it
+        was about 128 when every frontier copied all known point ids with
+        ``np.insert`` and cycles were found through Python lists and sets.
+        """
+        model = mactp_generate(MactpSpec(4, 2, 10, seed=0))
+        policy = random_joint_policy(model, SplitMix64(0), max_nodes=64)
+        points = []
+        values = evaluation.graph_values
+        monkeypatch.setattr(evaluation, "graph_values", lambda nxt, *args: points.append(nxt.size) or values(nxt, *args))
+        exact_value(model, policy)  # allocations of a first call only (caches) are not the evaluator's
+        tracemalloc.start()
+        try:
+            exact_value(model, policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points[-1] > 20_000
+        assert peak / points[-1] < 90
 
 
 class TestExactValue:
