@@ -17,6 +17,10 @@ Packed state layout, least significant first: agent positions in base
 The blockage bits make the initial belief a product distribution over the
 ``2^{n_e}`` configurations; the arrived flags keep the +500 bonus a
 one-shot event (without them a returning agent could collect it again).
+The belief is built in integer arithmetic: weights over the common
+denominator of the blockage probabilities, in a list indexed by the
+blockage bits.  ``describe`` counts its support, 2 to the number of edges
+blocked with probability strictly between 0 and 1, without building it.
 
 A per-agent observation packs (all agents' positions, blocked-bitmask over
 the stochastic edges incident to the agent's own vertex) into one integer:
@@ -327,16 +331,13 @@ class MactpModel(DetDecModel):
         return self._initial_belief
 
     def _build_initial_belief(self) -> SupportBelief:
-        pairs = []
-        for bits in range(1 << self._n_edges):
-            w = Fraction(1)
-            for bit, p in enumerate(self.instance.block_probs):
-                w *= p if bits >> bit & 1 else 1 - p
-                if w == 0:
-                    break
-            if w > 0:
-                pairs.append((self.pack(self.instance.starts, bits, 0), w))
-        return SupportBelief.from_pairs(pairs)
+        # edge k doubles the list, open half first: the index is the blockage bits, so atoms ascend
+        weights = [1]
+        for p in self.instance.block_probs:
+            num, den = p.numerator, p.denominator
+            weights = [w * (den - num) for w in weights] + [w * num for w in weights]
+        start = self.pack(self.instance.starts, 0, 0)
+        return SupportBelief((start + bits * self._pos_card, w) for bits, w in enumerate(weights) if w)
 
     def is_terminal(self, state):
         self._check_state(state)
@@ -361,7 +362,7 @@ class MactpModel(DetDecModel):
             "stochastic_edges": self._n_edges,
             "env_state_count": env_states,
             "state_count_with_flags": env_states << self.agent_count,
-            "belief_support": len(self.initial_belief()),
+            "belief_support": 2 ** sum(0 < p < 1 for p in self.instance.block_probs),
             "action_space_sizes": list(self.action_space_sizes),
             "observation_space_bound": self.observation_space_sizes[0],
         }

@@ -165,10 +165,13 @@ class SupportBelief:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[StateId, object]]) -> "SupportBelief":
-        """Merge duplicate states, drop zero weights, scale rationals to integers, sort."""
-        acc: dict[StateId, Fraction] = {}
+        """Merge duplicate states, drop zero weights, scale rationals to integers, sort.
+
+        ``int`` weights stay ints; any other weight is taken exactly as a ``Fraction``.
+        """
+        acc: dict[StateId, int | Fraction] = {}
         for state, weight in pairs:
-            w = Fraction(weight)
+            w = weight if type(weight) is int else Fraction(weight)
             if w < 0:
                 raise ValueError(f"negative weight for state {state}")
             if w:

@@ -137,6 +137,23 @@ def tiny_mactp(agents: int = 1, probs=(Fraction(1, 2),), gamma: float = 0.95) ->
     )
 
 
+def fraction_product_belief(model: MactpModel) -> SupportBelief:
+    """Reference mactp initial belief: one ``Fraction`` product per blockage configuration.
+
+    The model builds the same belief in integer arithmetic instead.
+    """
+    pairs = []
+    for bits in range(1 << len(model.instance.stochastic)):
+        w = Fraction(1)
+        for bit, p in enumerate(model.instance.block_probs):
+            w *= p if bits >> bit & 1 else 1 - p
+            if w == 0:
+                break
+        if w > 0:
+            pairs.append((model.pack(model.instance.starts, bits, 0), w))
+    return SupportBelief.from_pairs(pairs)
+
+
 def tiny_collecting(agents: int = 1, gamma: float = 0.95) -> CollectingModel:
     """Hand-built 2x2 interior, one box: obstacle 5, goal 6, start 9, box at 10."""
     starts = (9,) if agents == 1 else (9, 10)

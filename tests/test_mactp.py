@@ -7,7 +7,18 @@ from detdec.envs import describe, descriptor_text, model_from_descriptor
 from detdec.mactp import WAIT, grid_edges
 from detdec.rng import SplitMix64
 
-from helpers import tiny_mactp
+from helpers import fraction_product_belief, tiny_mactp
+
+
+def mixed_mactp() -> MactpModel:
+    """3x3, two agents, five stochastic edges: degenerate and mixed-denominator probabilities."""
+    return MactpModel(
+        MactpInstance(
+            grid_size=3, agents=2, weights=(1,) * 12, stochastic=(0, 2, 5, 7, 11),
+            block_probs=(Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(37, 100)),
+            goals=(9, 8), starts=(1, 5),
+        )
+    )
 
 
 class TestGrid:
@@ -38,6 +49,25 @@ class TestSizing:
         assert report["env_state_count"] > 10_000_000
         assert report["belief_support"] == 2**14
 
+    def test_describe_does_not_build_the_belief(self):
+        m = mactp_generate(MactpSpec(4, 2, 12, seed=0))
+        assert describe(m)["belief_support"] == 2**12
+        assert m._initial_belief is None
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            tiny_mactp(probs=()),
+            tiny_mactp(probs=(Fraction(1), Fraction(0))),
+            tiny_mactp(agents=2, probs=(Fraction(1, 2), Fraction(1), Fraction(3, 10))),
+            tiny_mactp(probs=(Fraction(0), Fraction(1), Fraction(1), Fraction(0))),
+            mixed_mactp(),
+            mactp_generate(MactpSpec(3, 2, 5, seed=42)),
+        ],
+    )
+    def test_closed_form_support_matches_the_belief(self, model):
+        assert describe(model)["belief_support"] == len(model.initial_belief())
+
     def test_action_spaces_are_five(self):
         m = mactp_generate(MactpSpec(3, 2, 5, seed=1))
         assert m.action_space_sizes == (5, 5)
@@ -64,6 +94,15 @@ class TestInitialBelief:
         b = m.initial_belief()
         assert list(b.states) == sorted(b.states)
         assert sum(b.weights) == 1
+
+    @pytest.mark.parametrize(
+        "model",
+        [*(mactp_generate(MactpSpec(4, 2, edges, seed)) for edges in (12, 8) for seed in (0, 1)), mixed_mactp()],
+        ids=["4-2-12-s0", "4-2-12-s1", "4-2-8-s0", "4-2-8-s1", "mixed"],
+    )
+    def test_integer_build_equals_fraction_products(self, model):
+        b, reference = model.initial_belief(), fraction_product_belief(model)
+        assert b.atoms == reference.atoms and b.total == reference.total
 
     def test_repeated_calls_return_an_equal_belief(self):
         spec = MactpSpec(3, 2, 5, seed=9)

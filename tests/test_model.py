@@ -151,6 +151,22 @@ class TestSupportBelief:
         assert b.atoms == ((0, 2), (1, 3), (2, 1)) and b.total == 6
         assert b.weights == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(4, 6), (1, 2), (9, 4), (1, 2)],  # ints only
+            [(4, 3), (1, Fraction(1, 2)), (4, Fraction(2, 3)), (7, 1), (1, 5)],  # ints and Fractions, shared states
+            [(2, 0.25), (0, 0.5), (2, 0.125), (5, 0.1)],  # floats, taken exactly
+            [(3, 0.5), (3, 1), (6, Fraction(1, 3)), (8, 0)],  # all three, and a zero
+        ],
+    )
+    def test_from_pairs_matches_all_fraction_weights(self, pairs):
+        b = SupportBelief.from_pairs(pairs)
+        reference = SupportBelief.from_pairs([(s, Fraction(w)) for s, w in pairs])
+        assert b.atoms == reference.atoms and b.total == reference.total
+        assert hash(b) == hash(reference)
+        assert all(type(w) is int for _, w in b.atoms)
+
     @given(
         st.lists(
             st.tuples(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=9)),
