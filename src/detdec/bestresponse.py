@@ -226,7 +226,7 @@ class BrDetPomdp:
         else:
             nodes0 = ()
         b0 = self.model.initial_belief()
-        rows = [self.value_table.row(state) for state in b0.states]
+        rows = self.value_table.rows(b0.states).tolist()
         if -1 in rows:
             raise MissingStateError(f"state {b0.states[rows.index(-1)]} not covered by the value table")
         pairs = [

@@ -15,19 +15,19 @@ successor its layer-order row; it keeps the known states in a large and a
 small recent sorted run, so a layer copies the recent run, not every known
 state.
 
-Table layout.  Row ``k`` is the ``k``-th reachable state in ascending id
-order, so one sorted int64 array, ``state_ids``, maps rows to states (and
-states to rows, by ``searchsorted``).  ``succ`` holds int32 successor rows
-and ``rewards`` unsigned codes into ``palette``, the distinct rewards as
-float64 in order of first sight; the code dtype is the narrowest that
-holds the palette's size (uint8 up to 256 rewards), and ``palette[rewards]``
-is the reward table.  A table costs ``n x J x (4 + code bytes)`` bytes for
-``n`` states and ``J`` joint actions, 5 per (state, joint action) on both
-benchmarks, plus 16 bytes per state for ``state_ids`` and ``values``.
-Each layer's successors are int64 ids only until the layer's new states are
-added to the index; they are stored as int32 rows in layer order, and the
-tables are put in id order once at the end.  Sweeps run over fixed row
-blocks, so their temporaries are bounded by the block, not by the table.
+Table layout.  Row ``k`` is the ``k``-th reachable state found: the
+roots, then each layer's new states by id; ``state_ids`` maps rows to
+states, and ``rows()`` maps states to rows through the sorted index that
+reachability built (``sorted_ids`` beside their int32 ``sorted_rows``), so
+no pass reorders the tables.  ``succ`` holds int32 successor rows and
+``rewards`` unsigned codes into ``palette``, the distinct rewards as float64
+in order of first sight; the code dtype is the narrowest that holds the
+palette's size (uint8 up to 256 rewards), and ``palette[rewards]`` is the
+reward table.  A table costs ``n x J x (4 + code bytes)`` bytes for ``n``
+states and ``J`` joint actions, 5 per (state, joint action) on both
+benchmarks, plus 28 bytes per state: 8 each for ``state_ids`` and
+``values``, 12 for the index.  Sweeps run over fixed row blocks, so their
+temporaries are bounded by the block, not by the table.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, require_int_at_least, require_positive_finite
-from .model import DetDecModel, IdRows, StateId, SupportBelief, require_int64_state_ids
+from .model import DetDecModel, IdRows, SupportBelief, require_int64_state_ids
 
 DEFAULT_TOL = 1e-6
 DEFAULT_STATE_CAP = 2_000_000
@@ -51,7 +51,7 @@ _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing of reward bit pat
 class MdpValueTable:
     """Optimal values of the relaxation over the reachable state set."""
 
-    state_ids: np.ndarray  # sorted int64: row k holds state state_ids[k]
+    state_ids: np.ndarray  # int64 in layer order: row k holds state state_ids[k]
     values: np.ndarray
     residual: float
     gamma: float
@@ -59,14 +59,18 @@ class MdpValueTable:
     succ: np.ndarray = field(repr=False)  # int32 successor rows
     rewards: np.ndarray = field(repr=False)  # codes into palette
     palette: np.ndarray = field(repr=False)  # float64 distinct rewards
+    sorted_ids: np.ndarray = field(repr=False)  # the state-to-row index: every state id, ascending,
+    sorted_rows: np.ndarray = field(repr=False)  # and the int32 row of each
 
-    def row(self, state: StateId) -> int:
-        """The row of ``state``, or -1 if the table does not cover it."""
-        ids = self.state_ids
-        if not int(ids[0]) <= state <= int(ids[-1]):  # also keeps ids beyond int64 out of the search
-            return -1
-        k = int(ids.searchsorted(state))
-        return k if ids[k] == state else -1
+    def rows(self, states) -> np.ndarray:
+        """The int64 row of each of ``states``; -1 where the table does not cover it (ids past int64 too)."""
+        ids = self.sorted_ids
+        states = np.asarray(states)  # an object array if an id is past int64
+        lo, hi = int(ids[0]), int(ids[-1])
+        inside = (states >= lo) & (states <= hi)
+        probe = np.where(inside, states, lo).astype(np.int64)
+        at = ids.searchsorted(probe)
+        return np.where(inside & (ids[at] == probe), self.sorted_rows[at], -1).astype(np.int64)
 
     def __len__(self) -> int:
         return len(self.state_ids)
@@ -106,8 +110,7 @@ def value_iteration(
     require_positive_finite("tol", tol)
     require_int_at_least("state_cap", state_cap, 1)
     belief = reachable_from if reachable_from is not None else model.initial_belief()
-    state_ids, succ, rewards, palette = _reachable_tables(model, belief, state_cap)
-    table = MdpValueTable(state_ids, np.zeros(len(state_ids)), np.inf, model.discount, succ, rewards, palette)
+    table = _reachable_tables(model, belief, state_cap)
     values = table.values
     backed_up = np.empty_like(values)
     for _ in range(_MAX_SWEEPS):
@@ -188,23 +191,21 @@ class _Palette:
         return codes
 
 
-def _reachable_tables(
-    model: DetDecModel, belief: SupportBelief, state_cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(state_ids, succ, rewards, palette)`` of the states reachable from the belief's support.
+def _reachable_tables(model: DetDecModel, belief: SupportBelief, state_cap: int) -> MdpValueTable:
+    """The table of the states reachable from the belief's support, its values still zero.
 
-    Rows are found layer by layer, each layer by state id; a layer's
-    successor ids are stored as int32 layer-order rows once its new states
-    are known.  The two tables grow in place by one layer at a time
-    (``ndarray.resize`` reallocates, so no second copy is held) and are put
-    in state-id order at the end.
+    Rows are numbered in the order the states are found, layer by layer and
+    each layer by state id; a layer's successor ids are stored as int32 rows
+    once its new states are known.  The two tables grow in place by one
+    layer at a time (``ndarray.resize`` reallocates, so no second copy is
+    held) and are kept in that order.
     """
     roots = sorted(set(belief.states))
     require_int64_state_ids(roots[-1])
     n_actions = model.num_joint_actions
     chunk = max(1, _CHUNK_PAIRS // n_actions)
     frontier = np.array(roots, dtype=np.int64)
-    index = IdRows(frontier, np.int32)  # the layer-order row of every state found so far
+    index = IdRows(frontier, np.int32)  # the row of every state found so far
     palette = _Palette()
     succ = np.empty((0, n_actions), dtype=np.int32)
     rewards = np.empty((0, n_actions), dtype=np.uint8)
@@ -227,17 +228,13 @@ def _reachable_tables(
         for lo in range(0, len(layer), chunk):
             succ[start + lo : start + lo + chunk] = index.rows(layer[lo : lo + chunk])
         del layer  # before the next layer's ids are allocated
-
-    # known_rows[k] is the layer-order row of the k-th smallest id: gather rows into id order
     known, known_rows = index.merged()
-    del index  # its runs, before the tables are reordered
-    rank = np.empty_like(known_rows)
-    rank[known_rows] = np.arange(known_rows.size, dtype=np.int32)
-    by_id = np.empty_like(succ)
-    for lo in range(0, len(succ), chunk):
-        np.take(rank, succ[known_rows[lo : lo + chunk]], out=by_id[lo : lo + chunk], mode="clip")
-    del succ  # before the reward codes are reordered
-    return known, by_id, rewards[known_rows], palette.values
+    del index  # its runs, before the row-to-state map is allocated
+    state_ids = np.empty_like(known)
+    state_ids[known_rows] = known
+    return MdpValueTable(
+        state_ids, np.zeros(len(known)), np.inf, model.discount, succ, rewards, palette.values, known, known_rows
+    )
 
 
 def default_policy(table: MdpValueTable) -> MdpPolicy:

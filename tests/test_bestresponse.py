@@ -19,6 +19,7 @@ from detdec import (
     mactp_generate,
     MactpSpec,
     SolveParams,
+    TabularModel,
     value_iteration,
 )
 from detdec.detpomdp import _BATCH_MIN_ATOMS, _Search
@@ -278,7 +279,7 @@ class TestStepActions:
         m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
         # a table covering what one initial state reaches leaves other initial states out
         sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
-        missing = next(s for s in m.initial_belief().states if sub.row(s) < 0)
+        missing = next(s for s in m.initial_belief().states if sub.rows([s])[0] < 0)
         policy = random_joint_policy(m, SplitMix64(11))
         for prob in (build_br_detpomdp(m, policy, 0, value_table=sub), build_init_detpomdp(m, 1, default_policy(sub))):
             with pytest.raises(MissingStateError, match=f"state {missing} not covered"):
@@ -338,19 +339,30 @@ class TestValueHints:
         for prob in (build_br_detpomdp(m, policy, 0, value_table=table), build_init_detpomdp(m, 1, pi)):
             b0 = list(prob.initial_belief().states)
             with monkeypatch.context() as patch:
-                patch.setattr(table, "row", lambda state: pytest.fail("searched the table for a row"))
+                patch.setattr(table, "rows", lambda states: pytest.fail("searched the table for a row"))
                 eids = [e for e, _, _ in prob.step_actions(b0)]
                 eids += [prob.step(e, 0)[0] for e in eids]
                 hints = [prob.state_value_hint(e) for e in eids]
-            assert hints == [table.values[table.row(prob.state(e))] + table.error_bound for e in eids]
+            assert hints == [table.values[table.rows([prob.state(e)])[0]] + table.error_bound for e in eids]
 
     def test_hint_outside_the_table_is_named(self):
         # a lift that fails interns nothing, so every hint is asked of a covered row
         m = mactp_generate(MactpSpec(3, 2, 4, seed=3))
         sub = value_iteration(m, reachable_from=SupportBelief.point(m.initial_belief().states[-1]))
-        missing = next(s for s in m.initial_belief().states if sub.row(s) < 0)
+        missing = next(s for s in m.initial_belief().states if sub.rows([s])[0] < 0)
         policy = random_joint_policy(m, SplitMix64(11))
         for prob in (build_br_detpomdp(m, policy, 1, value_table=sub), build_init_detpomdp(m, 0, default_policy(sub))):
             with pytest.raises(MissingStateError, match=f"state {missing} not covered"):
+                prob.initial_belief()
+            assert prob.interned_count == 0
+
+    def test_initial_state_past_int64_is_named(self):
+        # the row lookup must say "not covered" of an id no int64 holds, not overflow
+        far = 2**70
+        m = TabularModel(1, (1,), (1,), 0.9, {(0, (0,)): (0, (0,), 1.0)}, SupportBelief([(0, 1), (far, 1)]))
+        table = value_iteration(m, reachable_from=SupportBelief.point(0))
+        policy = JointPolicy([Fsc([FscNode(0)])])
+        for prob in (build_br_detpomdp(m, policy, 0, value_table=table), build_init_detpomdp(m, 0, default_policy(table))):
+            with pytest.raises(MissingStateError, match=f"state {far} not covered"):
                 prob.initial_belief()
             assert prob.interned_count == 0

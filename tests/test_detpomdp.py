@@ -185,7 +185,7 @@ class TestBounds:
         model = selfloop_model(reward=1.0, gamma=0.9)
         prob = _init_problem(model)
         exact = exact_value(model, JointPolicy([Fsc([FscNode(0)])]))
-        assert exact == 10.000000000000002 and prob.value_table.values[prob.value_table.row(0)] < exact
+        assert exact == 10.000000000000002 and prob.value_table.values[prob.value_table.rows([0])[0]] < exact
         search = _Search(prob, prob.initial_belief(), SolveParams())
         assert search.root.ub >= exact
 

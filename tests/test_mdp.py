@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,18 +53,18 @@ def hand_bellman(model, tol=1e-12, sweeps=4000):
 class TestValueIteration:
     def test_absorbing_state_is_zero(self):
         table = value_iteration(absorbing_model())
-        assert table.values[table.row(0)] == 0.0
+        assert table.values[table.rows([0])[0]] == 0.0
 
     def test_selfloop_geometric_series(self):
         table = value_iteration(selfloop_model(reward=1.0, gamma=0.95), tol=1e-9)
-        assert table.values[table.row(0)] == pytest.approx(20.0, abs=1e-7)
+        assert table.values[table.rows([0])[0]] == pytest.approx(20.0, abs=1e-7)
 
     def test_chain_matches_hand_bellman(self):
         m = chain_model(gamma=0.95)
         oracle = hand_bellman(m)
         table = value_iteration(m, tol=1e-9)
         for s, v in oracle.items():
-            assert table.values[table.row(s)] == pytest.approx(v, abs=1e-6)
+            assert table.values[table.rows([s])[0]] == pytest.approx(v, abs=1e-6)
 
     @pytest.mark.parametrize(
         "model",
@@ -72,10 +74,10 @@ class TestValueIteration:
     def test_benchmark_matches_hand_bellman(self, model):
         oracle = hand_bellman(model)
         table = value_iteration(model, tol=1e-9)
-        assert table.state_ids.tolist() == sorted(oracle)
+        assert sorted(table.state_ids.tolist()) == sorted(oracle)
         assert max(oracle.values()) > 0  # goals or deliveries are reached
         for s, v in oracle.items():
-            assert table.values[table.row(s)] == pytest.approx(v, abs=1e-6)
+            assert table.values[table.rows([s])[0]] == pytest.approx(v, abs=1e-6)
 
     def test_mactp_residual_invariant(self):
         m = mactp_generate(MactpSpec(3, 2, 3, seed=4))
@@ -84,9 +86,9 @@ class TestValueIteration:
         actions = enumerate_joint_actions(m.action_space_sizes)
         for s in table.state_ids[::7].tolist():
             backed = max(
-                m.step(s, a)[2] + m.discount * table.values[table.row(m.step(s, a)[0])] for a in actions
+                m.step(s, a)[2] + m.discount * table.values[table.rows([m.step(s, a)[0]])[0]] for a in actions
             )
-            assert abs(table.values[table.row(s)] - backed) <= tol
+            assert abs(table.values[table.rows([s])[0]] - backed) <= tol
 
     def test_deterministic_tables(self):
         m = mactp_generate(MactpSpec(3, 2, 3, seed=4))
@@ -110,8 +112,7 @@ class TestValueIteration:
 
     def test_missing_state(self):
         table = value_iteration(selfloop_model())
-        assert table.row(99) == -1
-        assert table.row(0) == 0
+        assert table.rows([99, 0]).tolist() == [-1, 0]
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
@@ -154,12 +155,25 @@ def many_rewards_model(n=300):
 class TestCompactTables:
     MACTP = mactp_generate(MactpSpec(3, 2, 3, seed=4))
 
-    def test_rows_follow_state_ids(self):
-        table = value_iteration(self.MACTP)
+    def test_rows_are_in_layer_order(self):
+        # an independent breadth-first search: row k is the k-th state found, each layer by id
+        model = self.MACTP
+        layers = [sorted(set(model.initial_belief().states))]
+        seen = set(layers[0])
+        while layers[-1]:
+            successors, _ = model.transition_batch(np.array(layers[-1], dtype=np.int64))
+            layers.append(sorted(set(successors.ravel().tolist()) - seen))
+            seen.update(layers[-1])
+        table = value_iteration(model)
         ids = table.state_ids
-        assert ids.dtype == np.int64 and np.all(ids[1:] > ids[:-1])
-        assert [table.row(s) for s in ids[::11].tolist()] == list(range(0, len(ids), 11))
-        assert table.row(int(ids[-1]) + 1) == -1 and table.row(2**70) == -1
+        assert ids.dtype == np.int64 and ids.tolist() == [s for layer in layers for s in layer]
+        assert len(layers) > 3 and ids.tolist() != sorted(ids.tolist())
+        rows = table.rows(ids)
+        assert rows.dtype == np.int64 and np.array_equal(rows, np.arange(len(ids)))
+        lo, hi = int(ids.min()), int(ids.max())
+        assert table.rows([hi + 1, -1, 2**70, lo - 1]).tolist() == [-1] * 4
+        assert table.rows([2**70, lo]).tolist() == [-1, int(np.flatnonzero(ids == lo)[0])]
+        assert table.rows([]).tolist() == []
 
     def test_layout_and_bytes(self):
         table = value_iteration(self.MACTP)
@@ -181,6 +195,20 @@ class TestCompactTables:
         q = table.palette[table.rewards] + table.gamma * table.values[table.succ]
         assert np.array_equal(default_policy(table).greedy, np.argmax(q, axis=1))
 
+    def test_value_iteration_peak_per_pair(self):
+        # no second copy of the tables: rows stay in the order reachability fills them
+        model = mactp_generate(MactpSpec(4, 2, 8, seed=0))
+        model.transition_batch(np.array(model.initial_belief().states[:1]))  # belief and batch tables
+        tracemalloc.start()
+        try:
+            table = value_iteration(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = len(table) * model.num_joint_actions
+        assert pairs == 60_488 * 25
+        assert peak / pairs <= 10
+
     def test_more_than_256_rewards_widen_the_codes(self):
         m = many_rewards_model()
         table = value_iteration(m)
@@ -195,7 +223,7 @@ class TestCompactTables:
 
 
 def _greedy_action(model, pol, state):
-    return model.joint_actions()[pol.greedy[pol.table.row(state)]]
+    return model.joint_actions()[pol.greedy[pol.table.rows([state])[0]]]
 
 
 class TestDefaultPolicy:
@@ -225,7 +253,7 @@ class TestDefaultPolicy:
     def test_missing_state(self):
         m = chain_model()
         pol = default_policy(value_iteration(m))
-        assert pol.table.row(17) == -1
+        assert pol.table.rows([17])[0] == -1
         assert len(pol.greedy) == len(pol.table) == 3
 
     def test_greedy_rollout_matches_value(self):
@@ -241,4 +269,4 @@ class TestDefaultPolicy:
         memo = {}
         for s in table.state_ids[::5].tolist():
             got = trajectory_value(s, step_fn, lambda s: s, m.is_terminal, m.discount, memo)
-            assert abs(got - table.values[table.row(s)]) <= tol / (1 - m.discount) + 1e-9
+            assert abs(got - table.values[table.rows([s])[0]]) <= tol / (1 - m.discount) + 1e-9

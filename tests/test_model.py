@@ -103,7 +103,7 @@ _collecting_states = st.lists(
 
 def _reachable_pairs(model):
     """Every (state, joint action) reachable from the initial support, in sorted order."""
-    for s in value_iteration(model).state_ids.tolist():
+    for s in sorted(value_iteration(model).state_ids.tolist()):
         for a in model.joint_actions():
             yield s, a
 
