@@ -11,7 +11,6 @@ from .detpomdp import (
     SolveParams,
     SolveResult,
     belief_successors,
-    best_fixed_action,
     exact_belief_vi,
     fsc_value_in,
     solve,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BrDetPomdp", "ExtState", "build_br_detpomdp", "build_init_detpomdp",
     "CollectingInstance", "CollectingModel", "CollectingSpec", "collecting_generate",
-    "SolveParams", "SolveResult", "belief_successors", "best_fixed_action",
+    "SolveParams", "SolveResult", "belief_successors",
     "exact_belief_vi", "fsc_value_in", "solve", "upper_bound",
     "InstanceFormatError", "MissingStateError", "PolicyFormatError", "ResourceLimitError",
     "EvalReport", "evaluate", "exact_value", "mc_value",

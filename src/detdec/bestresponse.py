@@ -2,12 +2,13 @@
 
 When every agent except one runs a fixed deterministic controller, the
 remaining agent faces a single-agent problem over *extended states*
-``(environment state, other agents' controller nodes, own last local
-observation)``.  All three components evolve deterministically, so the
-derived problem is itself a deterministic POMDP: the environment step is
-deterministic, the others' node updates are driven by their (deterministic)
-components of the unique joint observation, and the emitted local
-observation is exactly the stored last-observation component.
+``(environment state, other agents' controller nodes)``.  Both components
+evolve deterministically, so the derived problem is itself a deterministic
+POMDP: the environment step is deterministic, and the others' node updates
+are driven by their (deterministic) components of the unique joint
+observation.  The agent's own observation is emitted by each step but is
+not part of the state: the future of an extended state does not depend on
+the observation that led to it.
 
 Two variants share the construction:
 
@@ -22,9 +23,15 @@ is its default policy's).  An extended state holds its environment state's
 table is closed under stepping, so only the initial atoms can fall outside
 it; ``initial_belief`` checks them once.
 
-Extended states are interned lazily into dense integer ids; the product
-space is far too large to enumerate up front, and interning keeps belief
-atoms cheap to hash, order, and compare.
+An extended state's id is ``row * W + code``: ``code`` packs the other
+agents' nodes in mixed radix, the first other agent least significant (as
+``evaluation.pack_points`` packs digits), and ``W`` is the product of their
+node counts, so in the initialization problem ``W`` is 1 and the id is the
+row.  Ids are canonical: equal extended states have equal ids, so nothing
+is interned, and belief atoms sort by table row, then by the other agents'
+nodes.  ``BrDetPomdp`` is the one owner of this format (``pack``,
+``unpack`` and the scalar ``ext``); the largest id is checked against the
+int64 bound at construction.
 
 ``step`` moves one extended state under one own action: its successor row
 is a read of the table's ``succ``, its observation and reward come from the
@@ -32,21 +39,20 @@ model through the transition cache.  ``step_rows`` is the batched step: it
 moves (table row, other agents' nodes) rows under one own action each, with
 successors and rewards gathered from ``succ`` and ``palette[rewards]``, the
 joint observation from the model's ``observation_batch`` and the other
-agents' nodes advanced through ``FscArrays``; it interns nothing, so the
-search values controllers on it directly.  ``step_actions`` is
-``step_rows`` over a belief's atoms under every own action, followed by
-interning: its rows equal ``step``'s, and it interns new successors in row
-order, the order in which ``step`` calls would meet them.
+agents' nodes advanced through ``FscArrays``; the search values controllers
+on it directly.  ``step_actions`` is ``step_rows`` over a belief's atoms
+under every own action, with the successors packed into ids: its rows
+equal ``step``'s.
 """
 from __future__ import annotations
 
-from itertools import repeat
 from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MissingStateError
+from .evaluation import pack_points, unpack_points
 from .fsc import FscArrays, JointPolicy
 from .mdp import MdpPolicy, MdpValueTable
 from .model import DetDecModel, StateId, SupportBelief, TransitionCache
@@ -55,16 +61,10 @@ from .model import DetDecModel, StateId, SupportBelief, TransitionCache
 class ExtState(NamedTuple):
     row: int  # the environment state's row in the relaxation table
     other_nodes: tuple[int, ...]
-    last_obs: int  # the agent's own latest observation, or the start symbol
 
 
 class BrDetPomdp:
-    """Deterministic single-agent POMDP over interned extended states.
-
-    ``start_obs`` is a distinguished local observation index (one past the
-    model's per-agent observation bound) seeding the last-observation slot
-    at time 0; it is never emitted by ``step``.
-    """
+    """Deterministic single-agent POMDP over packed extended-state ids."""
 
     def __init__(
         self,
@@ -90,11 +90,7 @@ class BrDetPomdp:
         self._error_bound = value_table.error_bound
         self.cache = cache if cache is not None else TransitionCache(model)
         self.action_count = model.action_space_sizes[agent]
-        self.obs_bound = model.observation_space_sizes[agent]
-        self.start_obs = self.obs_bound
         self.discount = model.discount
-        self._ids: dict[ExtState, int] = {}
-        self._ext: list[ExtState] = []
         self._step_memo: dict[int, tuple[int, int, float]] = {}
         # the joint action index is own * stride + the others' part
         sizes = model.action_space_sizes
@@ -106,32 +102,43 @@ class BrDetPomdp:
             (j, FscArrays.checked(other_controllers[j], j, sizes[j]), prod(sizes[j + 1 :]))
             for j in self.others
         ]
+        # the node count of each other agent's controller: the radix of an id's code
+        self._sizes = tuple(arrays.actions.size for _, arrays, _ in self._other_arrays)
+        self._width = prod(self._sizes)
+        # the largest id, at the last row with every node at its maximum, must fit in int64
+        pack_points(np.array([len(value_table) - 1]), [np.array([k - 1]) for k in self._sizes], self._sizes)
 
-    # --- interning ---------------------------------------------------------
+    # --- extended-state ids ------------------------------------------------
 
-    def intern(self, ext: ExtState) -> int:
-        eid = self._ids.get(ext)
-        if eid is None:
-            eid = len(self._ext)
-            self._ids[ext] = eid
-            self._ext.append(ext)
-        return eid
+    def pack(self, rows: np.ndarray, nodes) -> np.ndarray:
+        """Ids of the extended states with these table rows and other agents' node arrays."""
+        return pack_points(rows, nodes, self._sizes)
+
+    def unpack(self, eids: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(table rows, the other agents' node arrays) of the ids ``eids``."""
+        return unpack_points(eids, self._sizes)
 
     def ext(self, eid: int) -> ExtState:
-        return self._ext[eid]
+        """The extended state of id ``eid``."""
+        row, code = divmod(eid, self._width)
+        nodes = []
+        for k in self._sizes:
+            code, node = divmod(code, k)
+            nodes.append(node)
+        return ExtState(row, tuple(nodes))
 
     def state(self, eid: int) -> StateId:
         """The environment state of extended state ``eid``."""
-        return self._state_ids.item(self._ext[eid].row)
+        return self._state_ids.item(eid // self._width)
 
     @property
     def interned_count(self) -> int:
-        return len(self._ext)
+        """Entries of the scalar step memo.
 
-    @property
-    def other_node_counts(self) -> tuple[int, ...]:
-        """Node count of each other agent's controller (none in the initialization problem)."""
-        return tuple(arrays.actions.size for _, arrays, _ in self._other_arrays)
+        Ids are packed, so no state is interned; the memo is what a problem
+        gathers during a solve.  perfbench reads this after every solve.
+        """
+        return len(self._step_memo)
 
     # --- dynamics ----------------------------------------------------------
 
@@ -143,7 +150,7 @@ class BrDetPomdp:
         hit = self._step_memo.get(key)
         if hit is not None:
             return hit
-        row, nodes, _ = self._ext[eid]
+        row, nodes = self.ext(eid)
         if self._controllers is not None:
             others = sum(
                 self._controllers[j].nodes[node].action * stride
@@ -156,8 +163,11 @@ class BrDetPomdp:
         _, obs, reward = self.cache.step(self._state_ids.item(row), self._joint_tuples[joint])
         if self._controllers is not None:
             nodes = tuple(self._controllers[j].advance(node, obs[j]) for j, node in zip(self.others, nodes))
+        eid = self.value_table.succ.item(row, joint)
+        for node, k in zip(reversed(nodes), reversed(self._sizes)):  # the mixed radix of ``pack``
+            eid = eid * k + node
         own = obs[self.agent]
-        result = (self.intern(ExtState(self.value_table.succ.item(row, joint), nodes, own)), own, reward)
+        result = (eid, own, reward)
         self._step_memo[key] = result
         return result
 
@@ -189,54 +199,34 @@ class BrDetPomdp:
         """``step`` of every state in ``eids`` under every own action, in one batch.
 
         Row ``a * len(eids) + k`` is ``step(eids[k], a)``: rows are
-        action-major and atom-minor, and new successors are interned in row
-        order.
+        action-major and atom-minor.
         """
         n = len(eids)
-        ext = self._ext
         own = np.arange(n * self.action_count)
         atom = own % n  # the atom of each row
         own //= n
-        rows = np.array([ext[e].row for e in eids], dtype=np.int64)[atom]
-        nodes = np.array([ext[e].other_nodes for e in eids], dtype=np.int64)
-        nodes = nodes.reshape(n, len(self._other_arrays))[atom]
-        succ, own_obs, rewards, nodes = self.step_rows(rows, list(nodes.T), own)
-        own_obs = own_obs.tolist()
-        nodes2 = zip(*[n.tolist() for n in nodes]) if nodes else repeat(())
-        ids = self._ids
-        succ_ids = []
-        for key in zip(succ.tolist(), nodes2, own_obs):
-            eid = ids.get(key)  # an ExtState hashes and compares as its plain tuple
-            if eid is None:
-                eid = len(ext)
-                key = ExtState(*key)
-                ids[key] = eid
-                ext.append(key)
-            succ_ids.append(eid)
-        return list(zip(succ_ids, own_obs, rewards.tolist()))
+        rows, nodes = self.unpack(np.array(eids, dtype=np.int64))
+        succ, own_obs, rewards, nodes = self.step_rows(rows[atom], [x[atom] for x in nodes], own)
+        return list(zip(self.pack(succ, nodes).tolist(), own_obs.tolist(), rewards.tolist()))
 
     def initial_belief(self) -> SupportBelief:
         """One-to-one lift of the model's initial belief to extended states.
 
         An initial state outside the relaxation table raises
-        ``MissingStateError`` naming it, before any state is interned.
+        ``MissingStateError`` naming it.
         """
-        if self._controllers is not None:
-            nodes0 = tuple(self._controllers[j].initial_node for j in self.others)
-        else:
-            nodes0 = ()
         b0 = self.model.initial_belief()
-        rows = self.value_table.rows(b0.states).tolist()
-        if -1 in rows:
-            raise MissingStateError(f"state {b0.states[rows.index(-1)]} not covered by the value table")
-        pairs = [
-            (self.intern(ExtState(row, nodes0, self.start_obs)), weight)
-            for row, (_, weight) in zip(rows, b0)
+        rows = self.value_table.rows(b0.states)
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            raise MissingStateError(f"state {b0.states[missing[0]]} not covered by the value table")
+        nodes0 = [] if self._controllers is None else [
+            np.full(rows.size, self._controllers[j].initial_node) for j in self.others
         ]
-        return SupportBelief.from_pairs(pairs)
+        return SupportBelief.from_pairs(zip(self.pack(rows, nodes0).tolist(), (w for _, w in b0)))
 
     def is_terminal(self, eid: int) -> bool:
-        return self.model.is_terminal(self._state_ids.item(self._ext[eid].row))
+        return self.model.is_terminal(self.state(eid))
 
     def state_value_hint(self, eid: int) -> float:
         """Upper bound from the fully-observable relaxation: a read of the state's row.
@@ -244,7 +234,7 @@ class BrDetPomdp:
         It is the state's relaxation value widened by the table's
         ``error_bound``, so it stays admissible however loose ``mdp_tol`` is.
         """
-        return self._values.item(self._ext[eid].row) + self._error_bound
+        return self._values.item(eid // self._width) + self._error_bound
 
     def reward_bounds(self) -> tuple[float, float]:
         return self.model.reward_bounds()

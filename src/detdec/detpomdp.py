@@ -147,28 +147,29 @@ def upper_bound(belief: SupportBelief, m: BrDetPomdp) -> float:
 def fsc_values(m: BrDetPomdp, fsc: Fsc, roots) -> np.ndarray:
     """Exact value of executing ``fsc`` from each ``(extended state, node)`` root.
 
-    A point is (table row, the other agents' nodes, own node), which fixes
-    the whole future (the stored last observation does not).  All roots
-    are valued in one trajectory graph, stepped by ``BrDetPomdp.step_rows``.
+    A point is the extended-state id with the own node appended,
+    ``eid * len(fsc.nodes) + node``, which fixes the whole future.  All
+    roots are valued in one trajectory graph, stepped by
+    ``BrDetPomdp.step_rows``.
     """
     arrays = FscArrays.checked(fsc, m.agent, m.action_count)
-    sizes = m.other_node_counts + (len(fsc.nodes),)
+    size = (len(fsc.nodes),)
     state_ids = m.value_table.state_ids
 
     def step(points):
-        rows, nodes = unpack_points(points, sizes)
+        eids, (own,) = unpack_points(points, size)
+        rows, others = m.unpack(eids)
         live = ~m.model.terminal_batch(state_ids[rows])
-        *others, own = [n[live] for n in nodes]
-        succ, obs, rewards, others = m.step_rows(rows[live], others, arrays.actions[own])
-        return live, pack_points(succ, [*others, arrays.advance(own, obs)], sizes), rewards
+        own = own[live]
+        succ, obs, rewards, others = m.step_rows(rows[live], [n[live] for n in others], arrays.actions[own])
+        return live, pack_points(m.pack(succ, others), [arrays.advance(own, obs)], size), rewards
 
     for _, node in roots:
         if not 0 <= node < len(fsc.nodes):
             raise ValueError(f"node index {node} outside [0, {len(fsc.nodes)})")
-    exts = [m.ext(eid) for eid, _ in roots]
-    nodes = np.array([ext.other_nodes + (node,) for ext, (_, node) in zip(exts, roots)], dtype=np.int64)
-    rows = np.array([ext.row for ext in exts], dtype=np.int64)
-    points, at = np.unique(pack_points(rows, list(nodes.T), sizes), return_inverse=True)
+    eids = np.array([eid for eid, _ in roots], dtype=np.int64)
+    nodes = np.array([node for _, node in roots], dtype=np.int64)
+    points, at = np.unique(pack_points(eids, [nodes], size), return_inverse=True)
     return graph_values(*trajectory_graph(points, step), m.discount)[at]
 
 
@@ -206,11 +207,6 @@ def best_fixed_actions(beliefs: list[SupportBelief], m: BrDetPomdp) -> list[tupl
                 best_a = a
         out.append((best_v, best_a))
     return out
-
-
-def best_fixed_action(belief: SupportBelief, m: BrDetPomdp) -> tuple[float, int]:
-    """(value, action) of the best single fixed-action-forever policy."""
-    return best_fixed_actions([belief], m)[0]
 
 
 def fsc_value_in(m: BrDetPomdp, fsc: Fsc, belief: SupportBelief, node: int | None = None) -> float:

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from detdec import (
     CollectingSpec,
     Fsc,
     FscNode,
+    IdppParams,
     JointPolicy,
     MissingStateError,
     build_br_detpomdp,
@@ -16,9 +19,11 @@ from detdec import (
     exact_belief_vi,
     exact_value,
     fsc_value_in,
+    heuristic_init,
     mactp_generate,
     MactpSpec,
     SolveParams,
+    solve,
     TabularModel,
     value_iteration,
 )
@@ -57,7 +62,6 @@ class TestConstruction:
             ext = br.ext(eid)
             assert br.state(eid) == s and br.value_table.state_ids[ext.row] == s and w == ws
             assert ext.other_nodes == (policy.controllers[1].initial_node,)
-            assert ext.last_obs == br.start_obs
 
     def test_other_controller_action_out_of_range(self):
         m = tiny_mactp(agents=2, probs=())
@@ -84,19 +88,6 @@ class TestStep:
         first = br.step(eid, 1)
         for _ in range(1000):
             assert br.step(eid, 1) == first
-
-    def test_emitted_obs_equals_successor_last_obs(self):
-        m = mactp_generate(MactpSpec(3, 2, 4, seed=5))
-        policy = random_joint_policy(m, SplitMix64(8))
-        br = br_problem(m, policy, 1)
-        rng = SplitMix64(4)
-        frontier = list(br.initial_belief().states)
-        for _ in range(300):
-            eid = frontier[rng.randbelow(len(frontier))]
-            e2, obs, _ = br.step(eid, rng.randbelow(br.action_count))
-            assert br.ext(e2).last_obs == obs
-            assert obs != br.start_obs  # the start symbol is never emitted
-            frontier.append(e2)
 
     def test_unique_successor_exhaustive_on_small_instance(self):
         m = tiny_mactp(agents=2, probs=(Fraction(1, 2),))
@@ -192,10 +183,6 @@ class TestValueConsistency:
         assert checked >= 12
 
 
-def _interned(prob):
-    return [prob.ext(e) for e in range(prob.interned_count)]
-
-
 def _draw(pool, size, rng):
     """Up to ``size`` distinct ids from ``pool``, ascending like belief atoms."""
     return sorted({pool[rng.randbelow(len(pool))] for _ in range(size)})
@@ -240,8 +227,6 @@ class TestStepActions:
             eids = _draw(pool, size, rng)
             rows = batched.step_actions(eids)
             assert rows == [scalar.step(e, a) for a in range(count) for e in eids]
-            # same extended states under the same ids, interned in the same order
-            assert _interned(batched) == _interned(scalar)
             # the scalar step of the batched problem agrees with its rows
             assert rows == [batched.step(e, a) for a in range(count) for e in eids]
             pool.extend(e for e, _, _ in rows if e not in pool)
@@ -252,7 +237,7 @@ class TestStepActions:
         pool = list(batched.initial_belief().states)
         scalar.initial_belief()
         rng = SplitMix64(9)
-        for e in list(pool):  # a larger pool, interned alike in both problems
+        for e in list(pool):  # a larger pool, stepped alike in both problems
             for a in range(batched.action_count):
                 for prob in (batched, scalar):
                     e2 = prob.step(e, a)[0]
@@ -272,7 +257,6 @@ class TestStepActions:
                 for _, p, _, rcond in expected:
                     total += p * rcond
                 assert rbar == total
-            assert _interned(batched) == _interned(scalar)
 
     def test_state_outside_the_table_is_named(self):
         # the table is closed under stepping, so the lift is the one place a state can be missing
@@ -320,7 +304,6 @@ class TestTableAgainstModel:
                         joint[agent] = a
                         s2, jobs, r = model.step(prob.state(e), tuple(joint))
                         assert (prob.state(e2), obs, reward) == (s2, jobs[agent], r)
-                        assert prob.ext(e2).last_obs == obs
                         if kind == "br":
                             assert prob.ext(e2).other_nodes == tuple(
                                 policy.controllers[j].advance(n, jobs[j]) for j, n in zip(prob.others, ext.other_nodes)
@@ -366,3 +349,26 @@ class TestValueHints:
             with pytest.raises(MissingStateError, match=f"state {far} not covered"):
                 prob.initial_belief()
             assert prob.interned_count == 0
+
+
+class TestRetainedMemory:
+    def test_solved_problem_holds_little_per_expansion(self):
+        # ids are packed, not interned: after its solve a problem holds its
+        # step memo and transition cache, not a table of every state it met
+        model = mactp_generate(MactpSpec(4, 2, 8, seed=0))
+        params = IdppParams(solve=SolveParams(epsilon=1e-3, node_budget=8000))
+        table = value_iteration(model)
+        policy = heuristic_init(model, params, table=table).policy
+        for agent in (0, 1):
+            prob = build_br_detpomdp(model, policy, agent, table)
+            b0 = prob.initial_belief()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = solve(prob, b0, params.solve)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert res.expansions > 200
+            assert held / res.expansions <= 4_000

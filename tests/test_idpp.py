@@ -5,11 +5,13 @@ import pytest
 
 import detdec.idpp as idpp_module
 from detdec import (
+    CollectingSpec,
     IdppParams,
     ResourceLimitError,
     SolveParams,
     build_br_detpomdp,
     build_init_detpomdp,
+    collecting_generate,
     default_policy,
     exact_value,
     heuristic_init,
@@ -114,6 +116,13 @@ class TestRun:
         assert serialize(a.policy) == serialize(b.policy)
         assert a.final_value == b.final_value
         assert [r.accepted for r in a.history] == [r.accepted for r in b.history]
+
+    def test_three_agent_run_is_pinned(self, sound_bounds):
+        # a generated 3-agent instance end to end: each best response freezes two controllers
+        m = collecting_generate(CollectingSpec(3, 3, 3, 1, seed=0))
+        result = run(m, IdppParams(solve=SolveParams(epsilon=1e-3, node_budget=2000), max_rounds=10))
+        assert result.final_value == 86.36689973958333
+        assert list(result.policy.sizes()) == [44, 53, 47]
 
     def test_random_order_is_seeded(self):
         params_a = IdppParams(solve=FAST.solve, max_rounds=4, agent_order="random", seed=1)
