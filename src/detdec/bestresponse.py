@@ -34,10 +34,10 @@ nodes.  ``BrDetPomdp`` is the one owner of this format (``pack``,
 int64 bound at construction.
 
 ``step`` moves one extended state under one own action: its successor row
-is a read of the table's ``succ``, its observation and reward come from the
-model through the transition cache.  ``step_rows`` is the batched step: it
-moves (table row, other agents' nodes) rows under one own action each, with
-successors and rewards gathered from ``succ`` and ``palette[rewards]``, the
+is a read of the table's ``successor``, its observation and reward come from
+the model through the transition cache.  ``step_rows`` is the batched step:
+it moves (table row, other agents' nodes) rows under one own action each,
+with successors and rewards read from the table's ``transitions``, the
 joint observation from the model's ``observation_batch`` and the other
 agents' nodes advanced through ``FscArrays``; the search values controllers
 on it directly.  ``step_actions`` is ``step_rows`` over a belief's atoms
@@ -163,7 +163,7 @@ class BrDetPomdp:
         _, obs, reward = self.cache.step(self._state_ids.item(row), self._joint_tuples[joint])
         if self._controllers is not None:
             nodes = tuple(self._controllers[j].advance(node, obs[j]) for j, node in zip(self.others, nodes))
-        eid = self.value_table.succ.item(row, joint)
+        eid = self.value_table.successor(row, joint)
         for node, k in zip(reversed(nodes), reversed(self._sizes)):  # the mixed radix of ``pack``
             eid = eid * k + node
         own = obs[self.agent]
@@ -186,9 +186,7 @@ class BrDetPomdp:
             greedy = self._default_policy.greedy[rows]
             others = greedy - greedy // self._stride % self.action_count * self._stride
         joint = actions * self._stride + others
-        table = self.value_table
-        succ = table.succ[rows, joint]
-        rewards = table.palette[table.rewards[rows, joint]]
+        succ, rewards = self.value_table.transitions(rows, joint)
         obs = self.model.observation_batch(
             self._state_ids[rows], self._joint_actions[joint], self._state_ids[succ]
         )

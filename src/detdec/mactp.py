@@ -223,12 +223,13 @@ class MactpModel(DetDecModel):
         return self.pack(pos, bits, new_dones), reward
 
     def _build_batch_tables(self) -> tuple[np.ndarray, ...]:
-        """Per (vertex - 1, action): move target - 1, edge weight, blocking bit;
-        joint actions; per (vertex - 1, mask slot): the blockage bit shown there.
+        """Per (vertex - 1, action): move target - 1, cost, blocking bit; per
+        (vertex - 1, mask slot): the blockage bit shown there.
 
-        WAIT and missing edges stay put at weight 0; a deterministic edge has
-        blocking bit 0, so ``bits & bit`` is non-zero exactly when blocked.
-        Unused mask slots hold bit 0 and never show as blocked.
+        The cost is the move's float reward, minus the edge weight.  WAIT and
+        missing edges stay put at cost 0; a deterministic edge has blocking
+        bit 0, so ``bits & bit`` is non-zero exactly when blocked.  Unused
+        mask slots hold bit 0 and never show as blocked.
         """
         m = self._m
         target = np.repeat(np.arange(m, dtype=np.int64)[:, None], ACTION_COUNT, axis=1)
@@ -242,12 +243,11 @@ class MactpModel(DetDecModel):
                     bit = self._stoch_bit.get(mv[1])
                     if bit is not None:
                         block_bit[v - 1, a] = 1 << bit
-        joint = np.array(self.joint_actions(), dtype=np.int64).T  # (agents, joint actions)
         shown = np.zeros((m, 4), dtype=np.int64)
         for v in range(1, m + 1):
             for slot, bit in enumerate(self._incident[v]):
                 shown[v - 1, slot] = 1 << bit
-        return target, weight, block_bit, joint, shown
+        return target, 0.0 - weight, block_bit, shown
 
     def _tables(self) -> tuple[np.ndarray, ...]:
         if self._batch is None:
@@ -256,8 +256,12 @@ class MactpModel(DetDecModel):
 
     def transition_batch(self, states):
         states = checked_state_ids(states, self._state_card)
-        joint = self._tables()[3]
-        return self._advance(states[:, None], joint)
+        k = self.agent_count
+        # agent i's actions on axis i + 1, so its move is computed once per own action
+        actions = [np.arange(ACTION_COUNT).reshape((-1,) + (1,) * (k - 1 - i)) for i in range(k)]
+        succ, reward = self._advance(states.reshape((-1,) + (1,) * k), actions)
+        shape = (len(states), self.num_joint_actions)
+        return succ.reshape(shape), reward.reshape(shape)
 
     def step_batch(self, states, joint_actions):
         states = checked_state_ids(states, self._state_card)
@@ -272,29 +276,31 @@ class MactpModel(DetDecModel):
         """The move rules of ``transition_only`` over arrays: (successors, rewards).
 
         ``actions[i]`` is agent ``i``'s action array; it broadcasts against
-        ``states``, which sets the shape of the result.
+        ``states``, and all of them together set the shape of the result.
+        Agents do not meet, so agent ``i``'s move, cost and arrival are
+        computed on ``states`` and ``actions[i]`` alone; only its successor
+        term (position and arrived flag) and its reward are added across the
+        agents.  Arrived agents are frozen, so an all-arrived state stays put
+        at reward 0.  The rewards are sums of integer-valued floats, so exact.
         """
-        target, weight, block_bit, _, _ = self._tables()
+        target, cost, block_bit, _ = self._tables()
         high, code = np.divmod(states, self._pos_card)
         bits = high & self._bits_mask
         dones = high >> self._n_edges
-        # agents in order, as in transition_only; arrived agents are frozen,
-        # so an all-arrived state stays put at reward 0
-        reward = np.zeros(np.broadcast_shapes(states.shape, np.shape(actions[0])))
-        new_dones = dones
-        new_code = 0
+        succ = states - code  # the blockage bits and arrived flags
+        reward = 0.0
         for i in range(self.agent_count):
             code, p = np.divmod(code, self._m)
-            a = actions[i]
+            pa = p * ACTION_COUNT + actions[i]
             active = (dones >> i & 1) == 0
-            moves = active & ((bits & block_bit[p, a]) == 0)
-            reward -= np.where(moves, weight[p, a], 0)
-            p = np.where(moves, target[p, a], p)
+            moves = active & ((bits & block_bit.take(pa)) == 0)
+            r = np.where(moves, cost.take(pa), 0.0)
+            p = np.where(moves, target.take(pa), p)
             arrives = active & (p == self._goals[i] - 1)
-            reward += np.where(arrives, GOAL_REWARD, 0.0)
-            new_dones = new_dones | arrives.astype(np.int64) << i
-            new_code = new_code + p * self._m**i
-        return ((new_dones << self._n_edges) | bits) * self._pos_card + new_code, reward
+            r = np.where(arrives, r + GOAL_REWARD, r)
+            succ = succ + (p * self._m**i + arrives * (self._pos_card << (self._n_edges + i)))
+            reward = reward + r
+        return succ, reward
 
     def _observe(self, state: int) -> tuple[int, ...]:
         """Joint observation of arriving in ``state``: its positions code plus incident bits."""
@@ -313,7 +319,7 @@ class MactpModel(DetDecModel):
 
     def _observe_batch(self, states: np.ndarray) -> np.ndarray:
         """``_observe`` over an array of states: one row per state, one column per agent."""
-        shown = self._tables()[4]
+        shown = self._tables()[3]
         high, code = np.divmod(states, self._pos_card)
         bits = (high & self._bits_mask)[:, None]
         base = code * _OBS_MASK_RADIX

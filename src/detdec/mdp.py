@@ -22,11 +22,16 @@ reachability built (``sorted_ids`` beside their int32 ``sorted_rows``), so
 no pass reorders the tables.  ``succ`` holds int32 successor rows and
 ``rewards`` unsigned codes into ``palette``, the distinct rewards as float64
 in order of first sight; the code dtype is the narrowest that holds the
-palette's size (uint8 up to 256 rewards), and ``palette[rewards]`` is the
-reward table.  A table costs ``n x J x (4 + code bytes)`` bytes for ``n``
-states and ``J`` joint actions, 5 per (state, joint action) on both
+palette's size (uint8 up to 256 rewards).  Both are stored in blocks of
+``B = max(1, _BLOCK_PAIRS // J)`` rows for ``J`` joint actions, with the
+joint action outermost in a block: ``succ[b, j, k]`` is the successor of row
+``b * B + k`` under joint action ``j``, so a sweep reduces over ``J``
+contiguous vectors.  Outside this module ``transitions`` and its scalar form
+``successor`` read the tables, so no other module knows the layout.  The
+last block is padded, so a table costs ``ceil(n / B) x B x J x (4 + code
+bytes)`` bytes for ``n`` states, 5 per (state, joint action) on both
 benchmarks, plus 28 bytes per state: 8 each for ``state_ids`` and
-``values``, 12 for the index.  Sweeps run over fixed row blocks, so their
+``values``, 12 for the index.  Sweeps run block by block, so their
 temporaries are bounded by the block, not by the table.
 """
 from __future__ import annotations
@@ -42,7 +47,7 @@ DEFAULT_TOL = 1e-6
 DEFAULT_STATE_CAP = 2_000_000
 _CHUNK_PAIRS = 1 << 16  # (state, joint action) pairs per transition_batch call
 _ROW_LIMIT = 2**31  # int32 successor rows
-_SWEEP_ROWS = 2048  # rows per block of a sweep or greedy pass
+_BLOCK_PAIRS = 1 << 15  # (state, joint action) pairs per table block
 _MAX_SWEEPS = 1_000_000
 _HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing of reward bit patterns
 
@@ -55,7 +60,7 @@ class MdpValueTable:
     values: np.ndarray
     residual: float
     gamma: float
-    # transition tables kept for greedy extraction: shape (n_states, n_joint_actions)
+    # transition tables, shape (blocks, n_joint_actions, block rows); read them through transitions
     succ: np.ndarray = field(repr=False)  # int32 successor rows
     rewards: np.ndarray = field(repr=False)  # codes into palette
     palette: np.ndarray = field(repr=False)  # float64 distinct rewards
@@ -71,6 +76,20 @@ class MdpValueTable:
         probe = np.where(inside, states, lo).astype(np.int64)
         at = ids.searchsorted(probe)
         return np.where(inside & (ids[at] == probe), self.sorted_rows[at], -1).astype(np.int64)
+
+    def transitions(self, rows, joints) -> tuple[np.ndarray, np.ndarray]:
+        """(successor rows, rewards) of ``rows`` under ``joints``; the two broadcast together."""
+        flat = self._flat(np.asarray(rows, dtype=np.int64), joints)
+        return self.succ.reshape(-1)[flat], self.palette[self.rewards.reshape(-1)[flat]]
+
+    def successor(self, row: int, joint: int) -> int:
+        """The successor row of one row under one joint action: ``transitions`` for scalars."""
+        return self.succ.item(self._flat(row, joint))
+
+    def _flat(self, rows, joints):
+        """Flat positions of (row, joint) pairs in the blocked tables."""
+        n_joint, block = self.succ.shape[1:]
+        return (rows // block * n_joint + joints) * block + rows % block
 
     def __len__(self) -> int:
         return len(self.state_ids)
@@ -115,7 +134,7 @@ def value_iteration(
     backed_up = np.empty_like(values)
     for _ in range(_MAX_SWEEPS):
         for rows, q in _q_blocks(table, values):
-            q.max(axis=1, out=backed_up[rows])
+            np.maximum.reduce(q, axis=0, out=backed_up[rows])
         residual = float(np.max(np.abs(backed_up - values)))
         values, backed_up = backed_up, values
         if residual <= tol:
@@ -128,23 +147,24 @@ def value_iteration(
 
 
 def _q_blocks(table: MdpValueTable, values: np.ndarray):
-    """``(rows, q)`` per block of ``_SWEEP_ROWS`` rows: ``q = reward + gamma * successor value``.
+    """``(rows, q)`` per table block: ``q[j]`` is reward + gamma * successor value under joint action ``j``.
 
-    ``q`` is one buffer reused by every block; read it before the next.
+    ``q`` is a ``(J, rows)`` view of one buffer reused by every block; read it before the next.
     """
     succ, codes = table.succ, table.rewards
-    n = len(succ)
+    n = len(table)
+    n_joint, block = succ.shape[1:]
     scaled = values * table.gamma  # gamma * values[succ], one product per state
-    q = np.empty((min(n, _SWEEP_ROWS), succ.shape[1]))
+    q = np.empty(n_joint * min(n, block))
     r = np.empty_like(q)
-    for lo in range(0, n, _SWEEP_ROWS):
-        rows = slice(lo, min(lo + _SWEEP_ROWS, n))
-        qb, rb = q[: rows.stop - lo], r[: rows.stop - lo]
+    for b, lo in enumerate(range(0, n, block)):
+        w = min(block, n - lo)
+        qb, rb = q[: n_joint * w].reshape(n_joint, w), r[: n_joint * w].reshape(n_joint, w)
         # "clip" writes straight into out ("raise" buffers it); every index is in range
-        np.take(scaled, succ[rows], out=qb, mode="clip")
-        np.take(table.palette, codes[rows], out=rb, mode="clip")
+        np.take(scaled, succ[b, :, :w], out=qb, mode="clip")
+        np.take(table.palette, codes[b, :, :w], out=rb, mode="clip")
         qb += rb
-        yield rows, qb
+        yield slice(lo, lo + w), qb
 
 
 class _Palette:
@@ -196,37 +216,41 @@ def _reachable_tables(model: DetDecModel, belief: SupportBelief, state_cap: int)
 
     Rows are numbered in the order the states are found, layer by layer and
     each layer by state id; a layer's successor ids are stored as int32 rows
-    once its new states are known.  The two tables grow in place by one
-    layer at a time (``ndarray.resize`` reallocates, so no second copy is
-    held) and are kept in that order.
+    once its new states are known.  The two tables grow in place by whole
+    blocks, one layer at a time (``ndarray.resize`` reallocates, so no
+    second copy is held), and each chunk of ``transition_batch`` rows lands
+    in them with one transposed slice assignment per block it touches.
     """
     roots = sorted(set(belief.states))
     require_int64_state_ids(roots[-1])
     n_actions = model.num_joint_actions
     chunk = max(1, _CHUNK_PAIRS // n_actions)
+    block = max(1, _BLOCK_PAIRS // n_actions)
     frontier = np.array(roots, dtype=np.int64)
     index = IdRows(frontier, np.int32)  # the row of every state found so far
     palette = _Palette()
-    succ = np.empty((0, n_actions), dtype=np.int32)
-    rewards = np.empty((0, n_actions), dtype=np.uint8)
+    succ = np.empty((0, n_actions, block), dtype=np.int32)
+    rewards = np.empty((0, n_actions, block), dtype=np.uint8)
+    start = 0  # the first row of the layer
     while frontier.size:
-        start = len(succ)
         layer = np.empty((frontier.size, n_actions), dtype=np.int64)
-        rewards.resize((start + frontier.size, n_actions), refcheck=False)
+        shape = (-(-(start + frontier.size) // block), n_actions, block)
+        rewards.resize(shape, refcheck=False)
         for lo in range(0, frontier.size, chunk):
             layer[lo : lo + chunk], r = model.transition_batch(frontier[lo : lo + chunk])
             codes = palette.codes(r)
             if codes.dtype != rewards.dtype:  # the palette outgrew the code dtype
                 rewards = rewards.astype(codes.dtype)
-            rewards[start + lo : start + lo + chunk] = codes
+            _put(rewards, start + lo, codes)
         frontier = index.add(layer)
         if index.size > state_cap:
             raise ResourceLimitError(f"reachable state set exceeds state_cap={state_cap}")
         if index.size > _ROW_LIMIT:
             raise ResourceLimitError(f"reachable state set exceeds the int32 row bound {_ROW_LIMIT}")
-        succ.resize((start + len(layer), n_actions), refcheck=False)
+        succ.resize(shape, refcheck=False)
         for lo in range(0, len(layer), chunk):
-            succ[start + lo : start + lo + chunk] = index.rows(layer[lo : lo + chunk])
+            _put(succ, start + lo, index.rows(layer[lo : lo + chunk]))
+        start += len(layer)
         del layer  # before the next layer's ids are allocated
     known, known_rows = index.merged()
     del index  # its runs, before the row-to-state map is allocated
@@ -237,9 +261,18 @@ def _reachable_tables(model: DetDecModel, belief: SupportBelief, state_cap: int)
     )
 
 
+def _put(table: np.ndarray, start: int, part: np.ndarray) -> None:
+    """Store the ``(rows, J)`` array ``part`` as rows ``start, start + 1, ...`` of a blocked table."""
+    block = table.shape[2]
+    stop = start + len(part)
+    for lo in range(start - start % block, stop, block):
+        a, b = max(lo, start), min(lo + block, stop)
+        table[lo // block, :, a - lo : b - lo] = part[a - start : b - start].T
+
+
 def default_policy(table: MdpValueTable) -> MdpPolicy:
     """Greedy joint action per stored state; argmax takes the lowest joint index."""
     greedy = np.empty(len(table), dtype=np.int64)
     for rows, q in _q_blocks(table, table.values):
-        q.argmax(axis=1, out=greedy[rows])
+        np.argmax(q, axis=0, out=greedy[rows])
     return MdpPolicy(table=table, greedy=greedy)

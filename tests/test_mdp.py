@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -129,12 +130,17 @@ class TestValueIteration:
             value_iteration(selfloop_model(), state_cap=cap)
 
 
-def jacobi_reference(table, tol):
+def all_transitions(table, n_joint):
+    """(successor rows, rewards) of every (row, joint action) pair, one table row per row."""
+    return table.transitions(np.arange(len(table))[:, None], np.arange(n_joint))
+
+
+def jacobi_reference(table, n_joint, tol):
     """Whole-table Jacobi value iteration over a table's own successors and rewards."""
-    rewards = table.palette[table.rewards]
+    succ, rewards = all_transitions(table, n_joint)
     values = np.zeros(len(table))
     while True:
-        backed_up = (rewards + table.gamma * values[table.succ]).max(axis=1)
+        backed_up = (rewards + table.gamma * values[succ]).max(axis=1)
         residual = float(np.max(np.abs(backed_up - values)))
         values = backed_up
         if residual <= tol:
@@ -178,21 +184,29 @@ class TestCompactTables:
     def test_layout_and_bytes(self):
         table = value_iteration(self.MACTP)
         n, joint = len(table), self.MACTP.num_joint_actions
+        block = mdp._BLOCK_PAIRS // joint
+        blocks = -(-n // block)  # the last one padded
         assert table.succ.dtype == np.int32 and table.rewards.dtype == np.uint8
-        assert table.succ.shape == table.rewards.shape == (n, joint)
-        assert table.succ.nbytes + table.rewards.nbytes == n * joint * (4 + 1)
+        assert table.succ.shape == table.rewards.shape == (blocks, joint, block)
+        assert table.succ.nbytes + table.rewards.nbytes == blocks * block * joint * (4 + 1)
         successors, rewards = self.MACTP.transition_batch(table.state_ids)
-        assert np.array_equal(table.state_ids[table.succ], successors)
-        assert np.array_equal(table.palette[table.rewards], rewards)
+        rows, got = all_transitions(table, joint)
+        assert rows.dtype == np.int32 and np.array_equal(table.state_ids[rows], successors)
+        assert np.array_equal(got.view(np.int64), rewards.view(np.int64))
+        assert [table.successor(r, j) for r in range(0, n, 5) for j in range(joint)] == rows[::5].ravel().tolist()
 
     def test_blocked_sweeps_equal_whole_table_jacobi(self, monkeypatch):
-        monkeypatch.setattr(mdp, "_SWEEP_ROWS", 7)  # many blocks and a ragged last one
+        joint = self.MACTP.num_joint_actions
+        monkeypatch.setattr(mdp, "_BLOCK_PAIRS", 7 * joint)  # blocks of 7 rows
         tol = 1e-9
         table = value_iteration(self.MACTP, tol=tol)
-        assert len(table) % 7 and len(table) > 7 * 10
-        values, residual = jacobi_reference(table, tol)
+        assert table.succ.shape[2] == 7 and len(table) > 7 * 10
+        assert len(table) % 7  # a ragged last block
+        assert len(set(self.MACTP.initial_belief().states)) % 7  # the second layer starts inside a block
+        values, residual = jacobi_reference(table, joint, tol)
         assert np.array_equal(table.values, values) and table.residual == residual
-        q = table.palette[table.rewards] + table.gamma * table.values[table.succ]
+        succ, rewards = all_transitions(table, joint)
+        q = rewards + table.gamma * table.values[succ]
         assert np.array_equal(default_policy(table).greedy, np.argmax(q, axis=1))
 
     def test_value_iteration_peak_per_pair(self):
@@ -214,12 +228,39 @@ class TestCompactTables:
         table = value_iteration(m)
         assert len(table.palette) == 2 * 300 and table.rewards.dtype == np.uint16
         _, rewards = m.transition_batch(table.state_ids)
-        assert np.array_equal(table.palette[table.rewards].view(np.int64), rewards.view(np.int64))
+        assert np.array_equal(all_transitions(table, 2)[1].view(np.int64), rewards.view(np.int64))
 
     def test_int32_row_bound(self, monkeypatch):
         monkeypatch.setattr(mdp, "_ROW_LIMIT", 10)
         with pytest.raises(ResourceLimitError, match="int32 row bound 10"):
             value_iteration(self.MACTP)
+
+
+class TestPinnedRelaxation:
+    """Reachable states, values, greedy actions and every transition, pinned bit for bit.
+
+    Any change to reachability, the sweeps or the table layout must reproduce these digests.
+    """
+
+    @pytest.mark.parametrize(
+        "model, digest",
+        [
+            (mactp_generate(MactpSpec(3, 2, 4, seed=3)), "143a4cddc33baf367dbb26f30e45fc9aed3567ba75cb6680d27921bbd48da451"),
+            (mactp_generate(MactpSpec(3, 3, 3, seed=0)), "1c1a4fb6b40801ce926b2ca7837844f71a62cf6a3af9f60e658da7a906d58301"),
+            (
+                collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3)),
+                "32ac743623b2cbf5fc1c15b33230314fd31aa5a93ae074a53a579e5d99489ac4",
+            ),
+        ],
+        ids=["mactp-3-2-4", "mactp-3-3-3", "collecting-3x3-a2-b1"],
+    )
+    def test_digest(self, model, digest):
+        table = value_iteration(model)
+        succ, rewards = all_transitions(table, model.num_joint_actions)
+        h = hashlib.sha256()
+        for a in (table.state_ids, table.values.view(np.int64), default_policy(table).greedy, succ, rewards.view(np.int64)):
+            h.update(a.astype(np.int64).tobytes())
+        assert h.hexdigest() == digest
 
 
 def _greedy_action(model, pol, state):

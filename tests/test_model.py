@@ -33,9 +33,10 @@ def _assert_batch_matches_scalar(model, states):
     succ, rewards = model.transition_batch(np.array(states, dtype=np.int64))
     assert succ.dtype == np.int64 and rewards.dtype == np.float64
     assert succ.shape == rewards.shape == (len(states), model.num_joint_actions)
-    for row, s in enumerate(states):
-        for col, a in enumerate(model.joint_actions()):
-            assert (int(succ[row, col]), float(rewards[row, col])) == model.transition_only(s, a)
+    want = [model.transition_only(s, a) for s in states for a in model.joint_actions()]
+    assert succ.ravel().tolist() == [s2 for s2, _ in want]
+    # by bit pattern: == lets -0.0 pass for 0.0, and the relaxation's palette keys rewards by bits
+    assert rewards.ravel().view(np.int64).tolist() == np.array([r for _, r in want], dtype=np.float64).view(np.int64).tolist()
 
 
 def _assert_step_batch_matches_scalar(model, states):
@@ -243,6 +244,12 @@ class TestBatchKernel:
     def test_reachable_pairs_of_small_benchmarks(self):
         for model in _small_benchmark_models():
             _assert_batch_matches_scalar(model, value_iteration(model).state_ids.tolist())
+
+    @pytest.mark.parametrize("spec", [MactpSpec(3, 1, 3, 0), MactpSpec(3, 3, 3, 0)], ids=["mactp-a1", "mactp-a3"])
+    def test_reachable_pairs_across_agent_counts(self, spec):
+        # one and three agents: each agent's actions get an axis of their own in transition_batch
+        model = mactp_generate(spec)
+        _assert_batch_matches_scalar(model, value_iteration(model).state_ids[::17].tolist())
 
     def test_default_loops_over_transition_only(self):
         _assert_batch_matches_scalar(chain_model(), [0, 1, 2])
