@@ -33,16 +33,17 @@ nodes.  ``BrDetPomdp`` is the one owner of this format (``pack``,
 ``unpack`` and the scalar ``ext``); the largest id is checked against the
 int64 bound at construction.
 
-``step`` moves one extended state under one own action: its successor row
-is a read of the table's ``successor``, its observation and reward come from
-the model through the transition cache.  ``step_rows`` is the batched step:
-it moves (table row, other agents' nodes) rows under one own action each,
-with successors and rewards read from the table's ``transitions``, the
-joint observation from the model's ``observation_batch`` and the other
-agents' nodes advanced through ``FscArrays``; the search values controllers
-on it directly.  ``step_actions`` is ``step_rows`` over a belief's atoms
-under every own action, with the successors packed into ids: its rows
-equal ``step``'s.
+``step_rows`` is the step the solver runs: it moves (table row, other
+agents' nodes) rows under one own action each, with successors and rewards
+read from the table's ``transitions``, the joint observation gathered from
+the table's observation codes at the successor rows, and the other agents'
+nodes advanced through ``FscArrays``; the search values controllers on it
+directly.  ``step_actions`` is ``step_rows`` over a belief's atoms under
+every own action, with the successors packed into ids: every expansion is
+one such call.  ``step`` moves one extended state under one own action with
+its observation and reward from the model's own ``step``, through the
+transition cache; it serves ``exact_belief_vi``, the solver's oracle, and
+the tests that hold ``step_actions`` to it.
 """
 from __future__ import annotations
 
@@ -73,7 +74,6 @@ class BrDetPomdp:
         other_controllers: tuple | None,
         default_policy: MdpPolicy | None,
         value_table: MdpValueTable,
-        cache: TransitionCache | None = None,
     ) -> None:
         if not 0 <= agent < model.agent_count:
             raise ValueError(f"agent index {agent} outside [0, {model.agent_count})")
@@ -88,7 +88,7 @@ class BrDetPomdp:
         self._state_ids = value_table.state_ids
         self._values = value_table.values
         self._error_bound = value_table.error_bound
-        self.cache = cache if cache is not None else TransitionCache(model)
+        self.cache = TransitionCache(model)  # of the scalar ``step``
         self.action_count = model.action_space_sizes[agent]
         self.discount = model.discount
         self._step_memo: dict[int, tuple[int, int, float]] = {}
@@ -96,7 +96,6 @@ class BrDetPomdp:
         sizes = model.action_space_sizes
         self._stride = prod(sizes[agent + 1 :])
         self._joint_tuples = model.joint_actions()
-        self._joint_actions = np.array(self._joint_tuples, dtype=np.int64)
         # (agent, controller arrays, joint action stride) of each other agent with a controller
         self._other_arrays = [] if other_controllers is None else [
             (j, FscArrays.checked(other_controllers[j], j, sizes[j]), prod(sizes[j + 1 :]))
@@ -135,8 +134,9 @@ class BrDetPomdp:
     def interned_count(self) -> int:
         """Entries of the scalar step memo.
 
-        Ids are packed, so no state is interned; the memo is what a problem
-        gathers during a solve.  perfbench reads this after every solve.
+        Ids are packed, so no state is interned, and the solver does not
+        call ``step``; the memo fills only under the oracle.  perfbench reads
+        this after every solve.
         """
         return len(self._step_memo)
 
@@ -187,9 +187,7 @@ class BrDetPomdp:
             others = greedy - greedy // self._stride % self.action_count * self._stride
         joint = actions * self._stride + others
         succ, rewards = self.value_table.transitions(rows, joint)
-        obs = self.model.observation_batch(
-            self._state_ids[rows], self._joint_actions[joint], self._state_ids[succ]
-        )
+        obs = self.value_table.obs[succ]
         nodes = [arrays.advance(n, obs[:, j]) for n, (j, arrays, _) in zip(nodes, self._other_arrays)]
         return succ, obs[:, self.agent], rewards, nodes
 
@@ -243,7 +241,6 @@ def build_br_detpomdp(
     policy: JointPolicy,
     agent: int,
     value_table: MdpValueTable,
-    cache: TransitionCache | None = None,
 ) -> BrDetPomdp:
     """Best-response problem for ``agent`` against the policy's other controllers."""
     if policy.agent_count != model.agent_count:
@@ -256,7 +253,6 @@ def build_br_detpomdp(
         other_controllers=policy.controllers,
         default_policy=None,
         value_table=value_table,
-        cache=cache,
     )
 
 
@@ -264,7 +260,6 @@ def build_init_detpomdp(
     model: DetDecModel,
     agent: int,
     pi_mdp: MdpPolicy,
-    cache: TransitionCache | None = None,
 ) -> BrDetPomdp:
     """Initialization problem: the other agents play the default MDP policy.
 
@@ -278,5 +273,4 @@ def build_init_detpomdp(
         other_controllers=None,
         default_policy=pi_mdp,
         value_table=pi_mdp.table,
-        cache=cache,
     )

@@ -30,17 +30,17 @@ frontier stepped by one ``BrDetPomdp.step_rows`` call.  The best fixed
 action is read from the values of the controller whose node ``a`` repeats
 action ``a``.
 
-An expansion steps the belief's atoms under every action at once through
-``BrDetPomdp.step_actions`` (gathers on the relaxation table) and groups
-each action's rows as ``belief_successors`` does, adding rewards in atom
-order, so beliefs, probabilities and rewards are those of the scalar path
-to the last bit.  Beliefs of fewer than ``_BATCH_MIN_ATOMS`` atoms take the
-scalar ``belief_successors``, which a batch's fixed numpy cost would not pay
-off for.
+Every expansion steps the belief's atoms under every action in one
+``BrDetPomdp.step_actions`` batch, made of gathers on the relaxation table
+(successor rows, reward codes and observation codes), and groups each
+action's rows as ``belief_successors`` does, adding rewards in atom order,
+so beliefs, probabilities and rewards are those of the scalar oracle to the
+last bit.
 
 ``exact_belief_vi`` is an independent brute-force oracle: it enumerates the
-entire reachable belief space and runs value iteration over it.  It shares
-no search machinery with ``solve`` and exists to certify it in tests.
+entire reachable belief space and runs value iteration over it, stepping
+atom by atom through ``belief_successors`` and the model's own ``step``.  It
+shares no search machinery with ``solve`` and exists to certify it in tests.
 """
 from __future__ import annotations
 
@@ -57,11 +57,6 @@ from .fsc import Fsc, FscArrays, FscNode
 from .model import SupportBelief
 
 _LB_EPS = 1e-12
-# Beliefs with fewer atoms are expanded atom by atom: a batched step has a fixed
-# numpy cost of about 0.1 ms, more than a few scalar steps take.  Expanded
-# beliefs of collecting 4x3 a2 b2 average 1.8 atoms, and batching them all made
-# its expansions about 30% slower.
-_BATCH_MIN_ATOMS = 8
 
 
 @dataclass
@@ -209,11 +204,6 @@ def best_fixed_actions(beliefs: list[SupportBelief], m: BrDetPomdp) -> list[tupl
     return out
 
 
-def fsc_value_in(m: BrDetPomdp, fsc: Fsc, belief: SupportBelief, node: int | None = None) -> float:
-    """Exact value of executing ``fsc`` from ``node`` under belief ``belief``."""
-    return _belief_values(m, fsc, [(fsc.initial_node if node is None else node, belief)])[0]
-
-
 def exact_belief_vi(m: BrDetPomdp, b0: SupportBelief, tol: float = 1e-9, cap: int = 10_000) -> float:
     """Brute-force oracle: value iteration over the enumerated reachable belief MDP.
 
@@ -351,18 +341,13 @@ class _Search:
 
     def _expand(self, node: _Node) -> None:
         belief = node.belief
-        m = self.m
         n = len(belief)
-        if n < _BATCH_MIN_ATOMS:
-            branches = [belief_successors(belief, a, m) for a in range(m.action_count)]
-        else:
-            rows = m.step_actions([eid for eid, _ in belief.atoms])
-            branches = [_grouped(belief, rows[a * n : (a + 1) * n]) for a in range(m.action_count)]
+        rows = self.m.step_actions([eid for eid, _ in belief.atoms])
         acts = []
-        for successors in branches:
+        for a in range(self.m.action_count):
             rbar = 0.0
             entries = []
-            for obs, p, post, rcond in successors:
+            for obs, p, post, rcond in _grouped(belief, rows[a * n : (a + 1) * n]):
                 rbar += p * rcond
                 child = self._node(post)
                 # this expansion is the only one that appends `node`, so a repeat is the last entry

@@ -37,7 +37,7 @@ from .errors import MissingStateError, ResourceLimitError, require_int_at_least,
 from .evaluation import exact_value
 from .fsc import Fsc, JointPolicy
 from .mdp import DEFAULT_STATE_CAP, DEFAULT_TOL, MdpValueTable, default_policy, value_iteration
-from .model import DetDecModel, TransitionCache
+from .model import DetDecModel
 from .rng import stream
 
 
@@ -126,7 +126,6 @@ def heuristic_init(
     model: DetDecModel,
     params: IdppParams | None = None,
     table: MdpValueTable | None = None,
-    cache: TransitionCache | None = None,
 ) -> InitResult:
     """Per-agent controllers planned against the default relaxation policy."""
     if params is None:
@@ -134,13 +133,11 @@ def heuristic_init(
     if table is None:
         table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
     pi_mdp = default_policy(table)
-    if cache is None:
-        cache = TransitionCache(model)
     controllers: list[Fsc] = []
     records: list[InitRecord] = []
     for agent in range(model.agent_count):
         t0 = time.perf_counter()
-        problem = build_init_detpomdp(model, agent, pi_mdp, cache=cache)
+        problem = build_init_detpomdp(model, agent, pi_mdp)
         result = solve(problem, problem.initial_belief(), params.solve)
         controllers.append(result.fsc)
         records.append(
@@ -162,8 +159,7 @@ def run(model: DetDecModel, params: IdppParams | None = None) -> RunResult:
     if params is None:
         params = IdppParams()
     table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
-    cache = TransitionCache(model)
-    init = heuristic_init(model, params, table=table, cache=cache)
+    init = heuristic_init(model, params, table=table)
     policy = init.policy
     value = init.value
     history: list[IterationRecord] = []
@@ -188,7 +184,7 @@ def run(model: DetDecModel, params: IdppParams | None = None) -> RunResult:
                 continue
             t0 = time.perf_counter()
             try:
-                problem = build_br_detpomdp(model, policy, agent, value_table=table, cache=cache)
+                problem = build_br_detpomdp(model, policy, agent, value_table=table)
                 result = solve(problem, problem.initial_belief(), params.solve)
             except (ResourceLimitError, MissingStateError) as exc:
                 # keep the incumbent controller; the failed call blocks `converged`
@@ -246,22 +242,3 @@ def run(model: DetDecModel, params: IdppParams | None = None) -> RunResult:
         budget_hit=budget_hit,
         equilibrium_gap=gap,
     )
-
-
-def nash_check(model: DetDecModel, policy: JointPolicy, params: IdppParams | None = None) -> list[float]:
-    """Per-agent improvement gaps: best-response certified value minus joint value.
-
-    At an equilibrium reported by :func:`run`, every gap is at most
-    ``value_tolerance`` plus the subsolver's bound gap.
-    """
-    if params is None:
-        params = IdppParams()
-    table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
-    cache = TransitionCache(model)
-    joint = exact_value(model, policy)
-    gaps = []
-    for agent in range(model.agent_count):
-        problem = build_br_detpomdp(model, policy, agent, value_table=table, cache=cache)
-        result = solve(problem, problem.initial_belief(), params.solve)
-        gaps.append(result.lower_bound - joint)
-    return gaps

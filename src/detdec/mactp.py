@@ -267,10 +267,7 @@ class MactpModel(DetDecModel):
         states = checked_state_ids(states, self._state_card)
         actions = self.checked_joint_actions(joint_actions, len(states))
         succ, reward = self._advance(states, actions.T)
-        return succ, self.observation_batch(states, actions, succ), reward
-
-    def observation_batch(self, states, joint_actions, successors):
-        return self._observe_batch(successors)
+        return succ, self.observe_batch(succ), reward
 
     def _advance(self, states: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
         """The move rules of ``transition_only`` over arrays: (successors, rewards).
@@ -317,7 +314,7 @@ class MactpModel(DetDecModel):
             obs.append(base + mask)
         return tuple(obs)
 
-    def _observe_batch(self, states: np.ndarray) -> np.ndarray:
+    def observe_batch(self, states):
         """``_observe`` over an array of states: one row per state, one column per agent."""
         shown = self._tables()[3]
         high, code = np.divmod(states, self._pos_card)

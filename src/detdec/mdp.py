@@ -9,11 +9,12 @@ single-agent solver consumes.
 Transitions are deterministic, so the reachability pass records one
 (successor, reward) pair per (state, joint action) and the sweeps become
 vectorized gathers over those tables.  Reachability runs frontier by
-frontier: the model's ``transition_batch`` fills each layer's rows, and an
-``IdRows`` index (``model``) finds the layer's new states and gives every
-successor its layer-order row; it keeps the known states in a large and a
-small recent sorted run, so a layer copies the recent run, not every known
-state.
+frontier: the model's ``transition_batch`` fills each layer's rows, its
+``observe_batch`` renders each layer state's joint observation beside them,
+chunk by chunk, and an ``IdRows`` index (``model``) finds the layer's new
+states and gives every successor its layer-order row; it keeps the known
+states in a large and a small recent sorted run, so a layer copies the
+recent run, not every known state.
 
 Table layout.  Row ``k`` is the ``k``-th reachable state found: the
 roots, then each layer's new states by id; ``state_ids`` maps rows to
@@ -31,8 +32,16 @@ contiguous vectors.  Outside this module ``transitions`` and its scalar form
 last block is padded, so a table costs ``ceil(n / B) x B x J x (4 + code
 bytes)`` bytes for ``n`` states, 5 per (state, joint action) on both
 benchmarks, plus 28 bytes per state: 8 each for ``state_ids`` and
-``values``, 12 for the index.  Sweeps run block by block, so their
-temporaries are bounded by the block, not by the table.
+``values``, 12 for the index, plus the observation codes.  Sweeps run block
+by block, so their temporaries are bounded by the block, not by the table.
+
+Observation codes.  The joint observation is a function of the state
+entered (``model``), so ``obs[k]`` holds the one row ``k`` is entered with,
+agent by agent, in the narrowest unsigned dtype that holds
+``observation_space_sizes``: uint16 on the mactp benchmarks and uint32 on
+collecting, so 4 and 8 bytes per state with two agents.  An observation
+outside those sizes raises ``ValueError`` while the table is built.  A
+step's observation is then the gather ``obs[succ]``.
 """
 from __future__ import annotations
 
@@ -64,6 +73,7 @@ class MdpValueTable:
     succ: np.ndarray = field(repr=False)  # int32 successor rows
     rewards: np.ndarray = field(repr=False)  # codes into palette
     palette: np.ndarray = field(repr=False)  # float64 distinct rewards
+    obs: np.ndarray = field(repr=False)  # (rows, agents) joint observation of arriving in each row
     sorted_ids: np.ndarray = field(repr=False)  # the state-to-row index: every state id, ascending,
     sorted_rows: np.ndarray = field(repr=False)  # and the int32 row of each
 
@@ -231,17 +241,24 @@ def _reachable_tables(model: DetDecModel, belief: SupportBelief, state_cap: int)
     palette = _Palette()
     succ = np.empty((0, n_actions, block), dtype=np.int32)
     rewards = np.empty((0, n_actions, block), dtype=np.uint8)
+    bounds = model.observation_space_sizes
+    # observe_batch renders int64 codes, so none reaches 2**63 whatever the bounds
+    obs = np.empty((0, model.agent_count), dtype=np.min_scalar_type(min(max(bounds), 2**63) - 1))
     start = 0  # the first row of the layer
     while frontier.size:
         layer = np.empty((frontier.size, n_actions), dtype=np.int64)
         shape = (-(-(start + frontier.size) // block), n_actions, block)
         rewards.resize(shape, refcheck=False)
+        obs.resize((start + frontier.size, model.agent_count), refcheck=False)
         for lo in range(0, frontier.size, chunk):
             layer[lo : lo + chunk], r = model.transition_batch(frontier[lo : lo + chunk])
             codes = palette.codes(r)
             if codes.dtype != rewards.dtype:  # the palette outgrew the code dtype
                 rewards = rewards.astype(codes.dtype)
             _put(rewards, start + lo, codes)
+            joint_obs = model.observe_batch(frontier[lo : lo + chunk])
+            _check_observations(joint_obs, bounds)
+            obs[start + lo : start + lo + len(joint_obs)] = joint_obs
         frontier = index.add(layer)
         if index.size > state_cap:
             raise ResourceLimitError(f"reachable state set exceeds state_cap={state_cap}")
@@ -257,8 +274,17 @@ def _reachable_tables(model: DetDecModel, belief: SupportBelief, state_cap: int)
     state_ids = np.empty_like(known)
     state_ids[known_rows] = known
     return MdpValueTable(
-        state_ids, np.zeros(len(known)), np.inf, model.discount, succ, rewards, palette.values, known, known_rows
+        state_ids, np.zeros(len(known)), np.inf, model.discount, succ, rewards, palette.values, obs, known, known_rows
     )
+
+
+def _check_observations(obs: np.ndarray, bounds: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` naming the agent and its bound if an observation is outside ``[0, bound)``."""
+    low, high = obs.min(axis=0).tolist(), obs.max(axis=0).tolist()
+    for agent, bound in enumerate(bounds):
+        if not (0 <= low[agent] and high[agent] < bound):
+            value = low[agent] if low[agent] < 0 else high[agent]
+            raise ValueError(f"observation {value} of agent {agent} outside [0, {bound}) (observation_space_sizes)")
 
 
 def _put(table: np.ndarray, start: int, part: np.ndarray) -> None:

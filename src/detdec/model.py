@@ -3,13 +3,12 @@
 Models are generative: dynamics are computed on demand by pure functions
 over packed integer states, never materialized as transition matrices
 (benchmark instances reach millions of states).  ``transition_only`` holds
-the move rules; ``step`` adds the joint observation, which in both
-benchmarks is rendered from the successor state alone.
-``transition_batch`` is the same dynamics over an array of states and
-every joint action at once, for the relaxation's reachability pass;
-``step_batch`` is ``step`` over arrays of states and one joint action per
-row, for policy evaluation; ``observation_batch`` is its observation part
-alone, for callers that already hold the successors.  The only
+the move rules; ``step`` adds the joint observation, which is a function of
+the successor state alone: ``observe_batch`` renders it for an array of
+states, so the relaxation's reachability pass stores it once per state.
+``transition_batch`` is the move rules over an array of states and every
+joint action at once, for that pass; ``step_batch`` is ``step`` over arrays
+of states and one joint action per row, for policy evaluation.  The only
 probabilistic object in the whole system is the initial belief, held as an
 explicit support with integer weights.
 """
@@ -239,9 +238,10 @@ class DetDecModel(abc.ABC):
         successors, observations and rewards is
         ``step(states[r], tuple(joint_actions[r]))``; ``terminal_batch``
         equals ``is_terminal`` entry by entry.
-      * ``observation_batch(states, joint_actions, successors)``, given the
-        successors ``step_batch`` finds for those rows, equals its
-        observations row by row.
+      * The joint observation is a function of the successor state: row
+        ``r`` of ``observe_batch(states)`` is the joint observation of every
+        ``step`` that ends in ``states[r]``, each agent's in
+        ``[0, observation_space_sizes[agent])``.
       * Terminal states are absorbing: ``step`` returns the same state with
         reward 0 under every joint action.
       * Uncertainty exists only in ``initial_belief``.
@@ -310,17 +310,9 @@ class DetDecModel(abc.ABC):
             succ[row], obs[row], rewards[row] = self.step(s, tuple(a))
         return succ, obs, rewards
 
-    def observation_batch(
-        self, states: np.ndarray, joint_actions: np.ndarray, successors: np.ndarray
-    ) -> np.ndarray:
-        """Observations int64 ``(n, agents)`` of the rows of ``step_batch(states, joint_actions)``.
-
-        ``successors`` are those rows' successors; the rows are not checked
-        again.  Environments whose observation is rendered from the successor
-        alone override this; this default steps the rows again and serves
-        models whose observation depends on the action.
-        """
-        return self.step_batch(states, joint_actions)[1]
+    @abc.abstractmethod
+    def observe_batch(self, states: np.ndarray) -> np.ndarray:
+        """Joint observations int64 ``(n, agents)`` of arriving in each of ``states``."""
 
     def terminal_batch(self, states: np.ndarray) -> np.ndarray:
         """``is_terminal`` over an array of states, as a bool array.
@@ -372,8 +364,8 @@ class DetDecModel(abc.ABC):
 class TransitionCache:
     """Memo around ``model.step`` keyed on ``(state, joint action)``.
 
-    Planners share one of these per task so repeated belief expansions do
-    not recompute dynamics; the model itself stays pure and stateless.
+    ``BrDetPomdp.step``, the oracle's atom-by-atom step, holds one, so the
+    model itself stays pure and stateless.
     """
 
     __slots__ = ("model", "_memo")
@@ -399,7 +391,17 @@ class TabularModel(DetDecModel):
 
     ``transitions`` maps ``(state, joint action)`` to
     ``(successor, joint observation, reward)`` and must cover every pair
-    reachable from the initial belief's support.
+    reachable from the initial belief's support; terminal states need none.
+
+    The table may enter one state under different observations.  The model
+    meets the contract that the observation is a function of the successor
+    by the standard reduction: a state is augmented with the observation
+    that led to it.  In sorted row order, each state keeps the first
+    observation it is entered with, and a state entered under another one
+    gets a copy, with a fresh id past the largest state id, that steps as
+    the state does.  A terminal state or copy loops back to itself at
+    reward 0 and emits the observation it was entered with; a state never
+    entered observes all zeros.
     """
 
     def __init__(
@@ -418,29 +420,47 @@ class TabularModel(DetDecModel):
         self.action_space_sizes = tuple(action_space_sizes)
         self.observation_space_sizes = tuple(observation_space_sizes)
         self.discount = discount
-        self._transitions = dict(transitions)
         self._belief = belief
-        self._terminal = frozenset(terminal)
         rewards = [r for _, _, r in transitions.values()]
         self._bounds = (min(rewards, default=0.0), max(rewards, default=0.0))
-        # terminal states self-loop at reward 0 even if the table omits them
-        zero_obs = tuple(0 for _ in range(agent_count))
-        for s in self._terminal:
-            for a in enumerate_joint_actions(self.action_space_sizes):
-                self._transitions.setdefault((s, a), (s, zero_obs, 0.0))
+        fresh = 1 + max([*belief.states, *terminal, *(x for key, row in transitions.items() for x in (key[0], row[0]))])
+        self._terminal = frozenset(terminal)
+        self._copied: dict[StateId, StateId] = {}  # the state of each copy
+        self._observations: dict[StateId, JointObservation] = {}  # of entering each state or copy
+        self._transitions = {}
+        entered: dict[tuple[StateId, JointObservation], StateId] = {}
+        for (s, a), (s2, obs, r) in sorted(transitions.items()):
+            if s in self._terminal:
+                continue  # terminal states loop back to themselves
+            obs = tuple(obs)
+            target = entered.get((s2, obs))
+            if target is None:
+                target = entered[(s2, obs)] = fresh if s2 in self._observations else s2
+                if target == fresh:
+                    self._copied[target], fresh = s2, fresh + 1
+                self._observations[target] = obs
+            self._transitions[(s, a)] = (target, obs, r)
 
     def step(self, state, action):
-        self.check_action(tuple(action))
+        action = tuple(action)
+        self.check_action(action)
+        if self.is_terminal(state):
+            return state, self._observations.get(state, (0,) * self.agent_count), 0.0
         try:
-            return self._transitions[(state, tuple(action))]
+            return self._transitions[(self._copied.get(state, state), action)]
         except KeyError:
-            raise ValueError(f"no transition for state {state}, action {tuple(action)}") from None
+            raise ValueError(f"no transition for state {state}, action {action}") from None
+
+    def observe_batch(self, states):
+        states = np.asarray(states, dtype=np.int64).tolist()
+        obs = [self._observations.get(s, (0,) * self.agent_count) for s in states]
+        return np.array(obs, dtype=np.int64).reshape(len(states), self.agent_count)
 
     def initial_belief(self):
         return self._belief
 
     def is_terminal(self, state):
-        return state in self._terminal
+        return self._copied.get(state, state) in self._terminal
 
     def reward_bounds(self):
         lo, hi = self._bounds

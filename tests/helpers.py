@@ -9,6 +9,7 @@ from detdec import (
     CollectingSpec,
     Fsc,
     FscNode,
+    IdppParams,
     JointPolicy,
     MactpInstance,
     MactpModel,
@@ -18,9 +19,12 @@ from detdec import (
     build_br_detpomdp,
     collecting_generate,
     enumerate_joint_actions,
+    exact_value,
     mactp_generate,
+    solve,
     value_iteration,
 )
+from detdec.detpomdp import _belief_values
 from detdec.evaluation import cycle_value
 from detdec.rng import SplitMix64
 
@@ -228,6 +232,29 @@ def random_joint_policy(model, rng: SplitMix64, max_nodes: int = 3) -> JointPoli
 def br_problem(model, policy: JointPolicy, agent: int):
     """Best-response problem for ``agent`` on the model's relaxation table."""
     return build_br_detpomdp(model, policy, agent, value_iteration(model))
+
+
+def fsc_value_in(m, fsc: Fsc, belief: SupportBelief, node: int | None = None) -> float:
+    """Exact value of executing ``fsc`` from ``node`` under belief ``belief`` in problem ``m``."""
+    return _belief_values(m, fsc, [(fsc.initial_node if node is None else node, belief)])[0]
+
+
+def nash_check(model, policy: JointPolicy, params: IdppParams | None = None) -> list[float]:
+    """Per-agent improvement gaps: best-response certified value minus joint value.
+
+    At an equilibrium reported by ``idpp.run``, every gap is at most
+    ``value_tolerance`` plus the subsolver's bound gap.
+    """
+    if params is None:
+        params = IdppParams()
+    table = value_iteration(model, tol=params.mdp_tol, state_cap=params.state_cap)
+    joint = exact_value(model, policy)
+    gaps = []
+    for agent in range(model.agent_count):
+        problem = build_br_detpomdp(model, policy, agent, value_table=table)
+        result = solve(problem, problem.initial_belief(), params.solve)
+        gaps.append(result.lower_bound - joint)
+    return gaps
 
 
 def random_walk_states(model, rng: SplitMix64, walks: int = 5, steps: int = 30) -> list:

@@ -22,10 +22,8 @@ from detdec import (
     default_policy,
     exact_belief_vi,
     exact_value,
-    fsc_value_in,
     mactp_generate,
     mc_value,
-    nash_check,
     solve,
     value_iteration,
 )
@@ -35,7 +33,7 @@ from detdec.errors import ResourceLimitError
 from detdec.idpp import run as idpp_run
 from detdec.rng import SplitMix64
 
-from helpers import br_problem, random_joint_policy, small_instances
+from helpers import br_problem, fsc_value_in, nash_check, random_joint_policy, small_instances
 
 # every solve of the suite must end with upper bounds at or above lower bounds
 pytestmark = pytest.mark.usefixtures("sound_bounds")

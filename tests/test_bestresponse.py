@@ -18,7 +18,6 @@ from detdec import (
     default_policy,
     exact_belief_vi,
     exact_value,
-    fsc_value_in,
     heuristic_init,
     mactp_generate,
     MactpSpec,
@@ -27,11 +26,11 @@ from detdec import (
     TabularModel,
     value_iteration,
 )
-from detdec.detpomdp import _BATCH_MIN_ATOMS, _Search
+from detdec.detpomdp import _Search
 from detdec.model import SupportBelief
 from detdec.rng import SplitMix64
 
-from helpers import action_obs_model, br_problem, random_joint_policy, small_instances, tiny_mactp, zero_reward_model
+from helpers import action_obs_model, br_problem, fsc_value_in, random_joint_policy, small_instances, tiny_mactp, zero_reward_model
 
 
 def _mdp_policy(model):
@@ -223,7 +222,7 @@ class TestStepActions:
         assert scalar.initial_belief().states == tuple(pool)
         rng = SplitMix64(5)
         count = batched.action_count
-        for size in (1, 3, _BATCH_MIN_ATOMS - 1, _BATCH_MIN_ATOMS, 2 * _BATCH_MIN_ATOMS) * 4:
+        for size in (1, 3, 7, 8, 16) * 4:
             eids = _draw(pool, size, rng)
             rows = batched.step_actions(eids)
             assert rows == [scalar.step(e, a) for a in range(count) for e in eids]
@@ -243,7 +242,7 @@ class TestStepActions:
                     e2 = prob.step(e, a)[0]
                 if e2 not in pool:
                     pool.append(e2)
-        for size in (3, _BATCH_MIN_ATOMS - 1, _BATCH_MIN_ATOMS, 3 * _BATCH_MIN_ATOMS) * 3:
+        for size in (1, 2, 3, 8, 24) * 3:
             eids = _draw(pool, size, rng)
             belief = SupportBelief([(e, 1 + rng.randbelow(9)) for e in eids])
             search = _Search(batched, belief, SolveParams())
@@ -353,8 +352,8 @@ class TestValueHints:
 
 class TestRetainedMemory:
     def test_solved_problem_holds_little_per_expansion(self):
-        # ids are packed, not interned: after its solve a problem holds its
-        # step memo and transition cache, not a table of every state it met
+        # ids are packed, not interned, and the search steps on table reads:
+        # after its solve a problem holds no table of the states it met
         model = mactp_generate(MactpSpec(4, 2, 8, seed=0))
         params = IdppParams(solve=SolveParams(epsilon=1e-3, node_budget=8000))
         table = value_iteration(model)

@@ -18,7 +18,6 @@ from detdec import (
     default_policy,
     exact_belief_vi,
     exact_value,
-    fsc_value_in,
     JointPolicy,
     mactp_generate,
     MactpSpec,
@@ -37,6 +36,7 @@ import numpy as np
 from helpers import (
     action_obs_model,
     br_problem,
+    fsc_value_in,
     observation_pool,
     random_fsc,
     random_joint_policy,
@@ -310,6 +310,8 @@ class TestSearchEvaluator:
                 patch.setattr(BrDetPomdp, "step", lambda *args: pytest.fail("stepped one state at a time"))
                 value = fsc_value_in(prob, fsc, b0)
                 best = best_fixed_actions([b0], prob)[0]
+                assert solve(prob, b0, SolveParams(node_budget=200)).expansions > 1  # every expansion is batched
+            assert prob.interned_count == len(prob.cache) == 0
             assert value == _oracle_fsc_value(prob, fsc, b0, fsc.initial_node)
             assert best == _oracle_best_fixed_action(prob, b0)
 

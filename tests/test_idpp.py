@@ -17,7 +17,6 @@ from detdec import (
     heuristic_init,
     mactp_generate,
     MactpSpec,
-    nash_check,
     run,
     serialize,
     solve,
@@ -26,7 +25,7 @@ from detdec import (
 from detdec.cli import EXIT_BUDGET, EXIT_OK, main
 from detdec.fsc import Fsc, FscNode
 
-from helpers import tiny_mactp
+from helpers import nash_check, tiny_mactp
 
 FAST = IdppParams(solve=SolveParams(epsilon=1e-3, node_budget=3000), max_rounds=8)
 

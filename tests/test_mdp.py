@@ -18,7 +18,14 @@ from detdec import (
 from detdec import mdp
 from detdec.model import enumerate_joint_actions
 
-from helpers import absorbing_model, chain_model, selfloop_model, trajectory_value
+from helpers import (
+    absorbing_model,
+    action_obs_model,
+    chain_model,
+    selfloop_model,
+    trajectory_value,
+    zero_reward_model,
+)
 
 
 def hand_bellman(model, tol=1e-12, sweeps=4000):
@@ -234,6 +241,43 @@ class TestCompactTables:
         monkeypatch.setattr(mdp, "_ROW_LIMIT", 10)
         with pytest.raises(ResourceLimitError, match="int32 row bound 10"):
             value_iteration(self.MACTP)
+
+
+class TestObservationCodes:
+    """``obs[succ]`` is the joint observation of every reachable step, in the narrowest code dtype."""
+
+    MODELS = {
+        "mactp": mactp_generate(MactpSpec(3, 2, 4, seed=3)),
+        "collecting": collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3)),
+        "selfloop": selfloop_model(),
+        "absorbing": absorbing_model(),
+        "chain": chain_model(),
+        "zero-reward": zero_reward_model(),
+        "action-obs": action_obs_model(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_codes_equal_model_steps(self, name):
+        model = self.MODELS[name]
+        table = value_iteration(model)
+        joints = model.joint_actions()
+        rows = np.repeat(np.arange(len(table)), len(joints))
+        succ, _ = table.transitions(rows, np.tile(np.arange(len(joints)), len(table)))
+        want = [model.step(s, a)[1] for s in table.state_ids.tolist() for a in joints]
+        assert table.obs.shape == (len(table), model.agent_count)
+        assert [tuple(o) for o in table.obs[succ].tolist()] == want
+
+    @pytest.mark.parametrize("name, dtype", [("mactp", np.uint16), ("collecting", np.uint32), ("chain", np.uint8)])
+    def test_narrowest_code_dtype(self, name, dtype):
+        assert value_iteration(self.MODELS[name]).obs.dtype == dtype
+
+    @pytest.mark.parametrize("obs", [(0, 3), (-1, 0)])
+    def test_observation_outside_its_bound_is_named(self, obs):
+        t = {(0, (0, 0)): (1, obs, 1.0), (1, (0, 0)): (1, (0, 0), 0.0)}
+        m = TabularModel(2, (1, 1), (2, 3), 0.9, t, SupportBelief.point(0))
+        agent = 1 if obs[1] else 0
+        with pytest.raises(ValueError, match=rf"observation {obs[agent]} of agent {agent} outside \[0, {(2, 3)[agent]}\)"):
+            value_iteration(m)
 
 
 class TestPinnedRelaxation:

@@ -10,15 +10,29 @@ from detdec import (
     CollectingSpec,
     MactpSpec,
     SupportBelief,
+    TabularModel,
     TransitionCache,
+    build_br_detpomdp,
+    build_init_detpomdp,
     collecting_generate,
+    default_policy,
     enumerate_joint_actions,
+    exact_belief_vi,
+    exact_value,
     mactp_generate,
     value_iteration,
 )
 from detdec.mactp import grid_edges
+from detdec.rng import SplitMix64
 
-from helpers import absorbing_model, action_obs_model, chain_model, selfloop_model
+from helpers import (
+    absorbing_model,
+    action_obs_model,
+    chain_model,
+    random_joint_policy,
+    selfloop_model,
+    zero_reward_model,
+)
 
 
 def _small_benchmark_models():
@@ -56,14 +70,14 @@ def _assert_step_batch_matches_scalar(model, states):
     assert terminal.dtype == bool and terminal.tolist() == [model.is_terminal(s) for s in states]
 
 
-def _assert_observation_batch_matches_step_batch(model, states):
-    """``observation_batch`` on every (state, joint action) row against ``step_batch``'s observations."""
+def _assert_observe_batch_matches_step_batch(model, states):
+    """``observe_batch`` of the successors of every (state, joint action) row against ``step_batch``'s observations."""
     rows = [(s, a) for s in states for a in model.joint_actions()]
     states = np.array([s for s, _ in rows], dtype=np.int64)
     actions = np.array([a for _, a in rows], dtype=np.int64)
     succ, obs, _ = model.step_batch(states, actions)
-    got = model.observation_batch(states, actions, succ)
-    assert got.dtype == np.int64 and got.tolist() == obs.tolist()
+    got = model.observe_batch(succ)
+    assert got.dtype == np.int64 and got.shape == obs.shape and got.tolist() == obs.tolist()
 
 
 MACTP, COLLECTING = _small_benchmark_models()  # property-test instances
@@ -297,18 +311,20 @@ class TestBatchKernel:
     @given(_mactp_states)
     @example([MACTP.pack((_EDGE_END, 1), 1, 0), MACTP.pack((1, _EDGE_END), 2**4 - 1, 1)])  # blocked
     def test_observation_batch_mactp_random_states(self, states):
-        _assert_observation_batch_matches_step_batch(MACTP, states)
+        _assert_observe_batch_matches_step_batch(MACTP, states)
 
     @settings(max_examples=30, deadline=None)
     @given(_collecting_states)
     @example([COLLECTING.pack(_PAIR, (1, 0), 0b0110, 0), COLLECTING.pack(_PAIR[::-1], (0, 0), 0, 0)])  # collide
     def test_observation_batch_collecting_random_states(self, states):
-        _assert_observation_batch_matches_step_batch(COLLECTING, states)
+        _assert_observe_batch_matches_step_batch(COLLECTING, states)
 
-    def test_observation_batch_default_steps_again(self):
-        # a TabularModel whose observations depend on the action, not on the successor alone
+    def test_observation_batch_of_tabular_copies(self):
+        # a table whose observations depend on the action: its copies make them a function of the successor
         model = action_obs_model()
-        _assert_observation_batch_matches_step_batch(model, range(len(model.initial_belief())))
+        states = value_iteration(model).state_ids.tolist()
+        assert len(states) > len(model.initial_belief())  # copies are reachable
+        _assert_observe_batch_matches_step_batch(model, states)
 
     @pytest.mark.parametrize("model", _small_benchmark_models(), ids=["mactp", "collecting"])
     def test_step_batch_rejects_out_of_range_input(self, model):
@@ -343,3 +359,61 @@ class TestPinnedDynamics:
                 h.update(repr((s, a, model.step(s, a))).encode())
                 count += 1
             assert (count, h.hexdigest()) == expected
+
+
+class TestObservationReduction:
+    """``TabularModel`` copies a state entered under a second observation, so the observation is
+    a function of the successor; the values of its models stay those of the tables they were given."""
+
+    def test_copies_enter_under_a_second_observation(self):
+        m = zero_reward_model()  # in sorted order 0 -> 1 under (0,) and 0 -> 0 under (1,) come first
+        assert m.step(0, (0,)) == (1, (0,), 0.0) and m.step(0, (1,)) == (0, (1,), 0.0)
+        assert m.step(1, (0,)) == (2, (0,), 0.0)  # state 0 entered under (0,): copy 2
+        assert m.step(1, (1,)) == (3, (1,), 0.0)  # state 1 entered under (1,): copy 3
+        for a in ((0,), (1,)):
+            assert m.step(2, a) == m.step(0, a) and m.step(3, a) == m.step(1, a)
+        assert m.observe_batch([0, 1, 2, 3]).tolist() == [[1], [0], [0], [1]]
+
+    def test_terminal_copy_loops_back_to_itself(self):
+        # terminal state 2 is entered under (0,) from state 0 and under (1,) from state 1
+        t = {(0, (0,)): (2, (0,), 1.0), (1, (0,)): (2, (1,), 2.0)}
+        m = TabularModel(1, (1,), (2,), 0.9, t, SupportBelief.from_pairs([(0, 1), (1, 1)]), frozenset({2}))
+        assert m.step(1, (0,)) == (3, (1,), 2.0) and m.is_terminal(3)
+        assert m.step(2, (0,)) == (2, (0,), 0.0) and m.step(3, (0,)) == (3, (1,), 0.0)
+        assert m.observe_batch([0, 2, 3]).tolist() == [[0], [0], [1]]  # state 0 is never entered
+        assert m.reward_bounds() == (0.0, 2.0)
+
+    # taken before the copies: (exact_value of the random policies of seeds 1, 2 and 3, each followed
+    # by exact_belief_vi of every agent's best response to it; then exact_belief_vi of every agent's
+    # initialization problem)
+    PINNED = {
+        "chain": (chain_model, [0.0, 473.04999999999995, 0.0, 473.04999999999995, 0.0, 473.04999999999995,
+                                473.04999999999995]),
+        "zero-reward": (zero_reward_model, [0.0] * 7),
+        "action-obs": (action_obs_model, [
+            3.7368421052631593, 8.912825907566999, 4.670040484122259, 8.048306069503491,
+            0.34412955465587036, 5.438461531619618, 3.3076923065242405, 6.477732788784678,
+            10.020242914979761, 10.020242909847015, 10.020242911612163, 10.020242911612163,
+            19.269230762092572, 16.923076917236582, 20.12307691593873,
+        ]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_values_are_those_of_the_table(self, name):
+        make, expected = self.PINNED[name]
+        m = make()
+        table = value_iteration(m)
+        got = []  # (value, compared exactly)
+        for seed in (1, 2, 3):
+            policy = random_joint_policy(m, SplitMix64(seed))
+            got.append((exact_value(m, policy), True))
+            for agent in range(m.agent_count):
+                br = build_br_detpomdp(m, policy, agent, table)
+                got.append((exact_belief_vi(br, br.initial_belief()), False))
+        for agent in range(m.agent_count):
+            init = build_init_detpomdp(m, agent, default_policy(table))
+            got.append((exact_belief_vi(init, init.initial_belief()), False))
+        for (value, exact), pinned in zip(got, expected, strict=True):
+            # exact_value walks the same trajectories; copies take new ids, so the
+            # oracle's belief atoms sort, and their weights sum, in another order
+            assert value == (pinned if exact else pytest.approx(pinned, abs=1e-12))
