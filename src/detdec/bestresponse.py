@@ -87,6 +87,7 @@ class BrDetPomdp:
         self.value_table = value_table
         self._state_ids = value_table.state_ids
         self._values = value_table.values
+        self._terminal = value_table.terminal
         self._error_bound = value_table.error_bound
         self.cache = TransitionCache(model)  # of the scalar ``step``
         self.action_count = model.action_space_sizes[agent]
@@ -222,7 +223,12 @@ class BrDetPomdp:
         return SupportBelief.from_pairs(zip(self.pack(rows, nodes0).tolist(), (w for _, w in b0)))
 
     def is_terminal(self, eid: int) -> bool:
+        """Whether the environment state of ``eid`` is terminal, asked of the model (the oracle's check)."""
         return self.model.is_terminal(self.state(eid))
+
+    def terminal_flag(self, eid: int) -> bool:
+        """``is_terminal`` read from the table: the terminal flag of the state's row."""
+        return self._terminal.item(eid // self._width)
 
     def state_value_hint(self, eid: int) -> float:
         """Upper bound from the fully-observable relaxation: a read of the state's row.

@@ -34,6 +34,11 @@ from .fsc import JointPolicy, deserialize, serialize
 from .idpp import IdppParams
 from .model import DetDecModel
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 OUT_ROOT_ENV = "DETDEC_OUT"
 
 EXIT_OK = 0
@@ -190,6 +195,17 @@ def _run_algo(config: RunConfig):
     return model, policy, history, summary, seconds
 
 
+def peak_rss_mb() -> float | None:
+    """The process's peak resident memory so far in MB (2**20 bytes); ``None`` without ``resource``.
+
+    ``ru_maxrss`` is in KiB on Linux and in bytes on macOS.
+    """
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def run_solve(config: RunConfig, out_dir: Path) -> dict:
     """Run one solve per the config, write all artifacts, return the report."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,6 +226,7 @@ def run_solve(config: RunConfig, out_dir: Path) -> dict:
         "policy_sizes": list(policy.sizes()),
         "evaluation": eval_report.to_dict(),
         "seconds": elapsed,
+        "peak_rss_mb": peak_rss_mb(),
         **summary,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",

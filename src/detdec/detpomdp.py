@@ -35,7 +35,9 @@ Every expansion steps the belief's atoms under every action in one
 (successor rows, reward codes and observation codes), and groups each
 action's rows as ``belief_successors`` does, adding rewards in atom order,
 so beliefs, probabilities and rewards are those of the scalar oracle to the
-last bit.
+last bit.  A posterior's gcd-divided atoms key the node memo, so a belief
+is built only for a new node, and a new node reads whether it is terminal
+from the table's terminal flags.
 
 ``exact_belief_vi`` is an independent brute-force oracle: it enumerates the
 entire reachable belief space and runs value iteration over it, stepping
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import ceil, log
+from math import ceil, gcd, log
 
 import numpy as np
 
@@ -103,11 +105,17 @@ def belief_successors(
     rewards recombine to the belief-action expectation via sum(p * r).
     """
     step = m.step
-    return _grouped(belief, [step(eid, action) for eid, _ in belief.atoms])
+    rows = [step(eid, action) for eid, _ in belief.atoms]
+    return [(obs, p, SupportBelief(atoms), r) for obs, p, atoms, r in _grouped(belief, rows)]
 
 
-def _grouped(belief: SupportBelief, rows) -> list[tuple[int, float, SupportBelief, float]]:
-    """``belief_successors`` from the atoms' ``(successor, observation, reward)`` rows, in atom order."""
+def _grouped(belief: SupportBelief, rows) -> list[tuple[int, float, tuple, float]]:
+    """``belief_successors`` from the atoms' ``(successor, observation, reward)`` rows, in atom order.
+
+    Each posterior is given by its atoms, divided by their gcd as
+    ``SupportBelief`` stores them, so they key the search's memo before any
+    belief is built.
+    """
     groups: dict[int, dict[int, int]] = {}
     rewards: dict[int, float] = {}
     for (_, w), fw, (e2, obs, r) in zip(belief.atoms, belief.float_weights, rows):
@@ -123,11 +131,16 @@ def _grouped(belief: SupportBelief, rows) -> list[tuple[int, float, SupportBelie
     for obs in sorted(groups):
         g = groups[obs]
         prob = sum(g.values()) / total
-        out.append((obs, prob, SupportBelief(sorted(g.items())), rewards[obs] / prob))
+        atoms = tuple(sorted(g.items()))
+        divisor = gcd(*g.values())
+        if divisor > 1:
+            atoms = tuple((e2, w // divisor) for e2, w in atoms)
+        out.append((obs, prob, atoms, rewards[obs] / prob))
     return out
 
 
 def _belief_terminal(belief: SupportBelief, m: BrDetPomdp) -> bool:
+    """Whether every atom is terminal, asked of the model: the oracle's check, apart from the table."""
     return all(m.is_terminal(eid) for eid, _ in belief.atoms)
 
 
@@ -149,12 +162,12 @@ def fsc_values(m: BrDetPomdp, fsc: Fsc, roots) -> np.ndarray:
     """
     arrays = FscArrays.checked(fsc, m.agent, m.action_count)
     size = (len(fsc.nodes),)
-    state_ids = m.value_table.state_ids
+    terminal = m.value_table.terminal
 
     def step(points):
         eids, (own,) = unpack_points(points, size)
         rows, others = m.unpack(eids)
-        live = ~m.model.terminal_batch(state_ids[rows])
+        live = ~terminal[rows]
         own = own[live]
         succ, obs, rewards, others = m.step_rows(rows[live], [n[live] for n in others], arrays.actions[own])
         return live, pack_points(m.pack(succ, others), [arrays.advance(own, obs)], size), rewards
@@ -324,19 +337,21 @@ class _Search:
         # expanded nodes whose bounds or children changed since the last sweep
         self.changed: list[_Node] = []
         self.started = time.perf_counter()
-        self.root = self._node(b0)
+        self.root = self._node(b0.atoms)
 
     # --- node and bound management ----------------------------------------
 
-    def _node(self, belief: SupportBelief) -> _Node:
-        key = belief.atoms
-        node = self.nodes.get(key)
+    def _node(self, atoms: tuple) -> _Node:
+        """The node of the belief with these (gcd-divided) atoms; its belief is built on first sight only."""
+        node = self.nodes.get(atoms)
         if node is None:
-            if _belief_terminal(belief, self.m):
+            belief = SupportBelief(atoms)
+            flag = self.m.terminal_flag
+            if all(flag(eid) for eid, _ in atoms):
                 node = _Node(belief, 0.0, 0.0, True)
             else:
                 node = _Node(belief, self.floor, upper_bound(belief, self.m), False)
-            self.nodes[key] = node
+            self.nodes[atoms] = node
         return node
 
     def _expand(self, node: _Node) -> None:
@@ -347,9 +362,9 @@ class _Search:
         for a in range(self.m.action_count):
             rbar = 0.0
             entries = []
-            for obs, p, post, rcond in _grouped(belief, rows[a * n : (a + 1) * n]):
+            for obs, p, atoms, rcond in _grouped(belief, rows[a * n : (a + 1) * n]):
                 rbar += p * rcond
-                child = self._node(post)
+                child = self._node(atoms)
                 # this expansion is the only one that appends `node`, so a repeat is the last entry
                 if not child.parents or child.parents[-1] is not node:
                     child.parents.append(node)

@@ -9,12 +9,14 @@ single-agent solver consumes.
 Transitions are deterministic, so the reachability pass records one
 (successor, reward) pair per (state, joint action) and the sweeps become
 vectorized gathers over those tables.  Reachability runs frontier by
-frontier: the model's ``transition_batch`` fills each layer's rows, its
-``observe_batch`` renders each layer state's joint observation beside them,
-chunk by chunk, and an ``IdRows`` index (``model``) finds the layer's new
-states and gives every successor its layer-order row; it keeps the known
-states in a large and a small recent sorted run, so a layer copies the
-recent run, not every known state.
+frontier, each frontier chunk by chunk: the model's ``transition_batch``
+fills a chunk's rows, ``observe_batch`` and ``terminal_batch`` give each of
+its states' joint observation and terminal flag beside them, and the chunk's
+successor ids are reduced to their distinct ones at once.  An ``IdRows``
+index (``model``) then finds the layer's new states among the chunk-distinct
+ids and gives each its layer-order row; it keeps the known states in a
+large and a small recent sorted run, so a layer copies the recent run, not
+every known state.
 
 Table layout.  Row ``k`` is the ``k``-th reachable state found: the
 roots, then each layer's new states by id; ``state_ids`` maps rows to
@@ -31,9 +33,21 @@ contiguous vectors.  Outside this module ``transitions`` and its scalar form
 ``successor`` read the tables, so no other module knows the layout.  The
 last block is padded, so a table costs ``ceil(n / B) x B x J x (4 + code
 bytes)`` bytes for ``n`` states, 5 per (state, joint action) on both
-benchmarks, plus 28 bytes per state: 8 each for ``state_ids`` and
-``values``, 12 for the index, plus the observation codes.  Sweeps run block
-by block, so their temporaries are bounded by the block, not by the table.
+benchmarks, plus 29 bytes per state: 8 each for ``state_ids`` and
+``values``, 12 for the index, 1 for the terminal flag, plus the observation
+codes.  Sweeps run block by block, so their temporaries are bounded by the
+block, not by the table.
+
+Build memory.  Value iteration needs little beyond the table it returns.
+The build holds the table, the index and one chunk's temporaries beside
+the current layer's chunk-distinct successor ids, never a whole layer's ids
+(in mactp 4-2-12's largest layer 4.5 MB of them against 41 MB); the sweeps
+add a second value vector and one scaled copy of the values.  The
+tracemalloc peak on mactp 4-2-12 is 134 MB for a 120 MB table.  The build's
+temporaries are freed in pieces small enough to stay in the heap, so
+``value_iteration`` ends by handing the freed heap back to the operating
+system with glibc's ``malloc_trim(0)``, a no-op where that is missing
+(``_release_freed_heap``).
 
 Observation codes.  The joint observation is a function of the state
 entered (``model``), so ``obs[k]`` holds the one row ``k`` is entered with,
@@ -41,16 +55,20 @@ agent by agent, in the narrowest unsigned dtype that holds
 ``observation_space_sizes``: uint16 on the mactp benchmarks and uint32 on
 collecting, so 4 and 8 bytes per state with two agents.  An observation
 outside those sizes raises ``ValueError`` while the table is built.  A
-step's observation is then the gather ``obs[succ]``.
+step's observation is then the gather ``obs[succ]``.  Likewise
+``terminal[k]`` is ``terminal_batch`` of row ``k``'s state, so the search and
+``fsc_values`` read terminal states off the table; ``exact_belief_vi``, the
+oracle, still asks the model.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ResourceLimitError, require_int_at_least, require_positive_finite
-from .model import DetDecModel, IdRows, SupportBelief, require_int64_state_ids
+from .model import DetDecModel, IdRows, SupportBelief, require_int64_state_ids, within_least_bound
 
 DEFAULT_TOL = 1e-6
 DEFAULT_STATE_CAP = 2_000_000
@@ -74,6 +92,7 @@ class MdpValueTable:
     rewards: np.ndarray = field(repr=False)  # codes into palette
     palette: np.ndarray = field(repr=False)  # float64 distinct rewards
     obs: np.ndarray = field(repr=False)  # (rows, agents) joint observation of arriving in each row
+    terminal: np.ndarray = field(repr=False)  # bool per row: is its state terminal
     sorted_ids: np.ndarray = field(repr=False)  # the state-to-row index: every state id, ascending,
     sorted_rows: np.ndarray = field(repr=False)  # and the int32 row of each
 
@@ -145,7 +164,8 @@ def value_iteration(
     for _ in range(_MAX_SWEEPS):
         for rows, q in _q_blocks(table, values):
             np.maximum.reduce(q, axis=0, out=backed_up[rows])
-        residual = float(np.max(np.abs(backed_up - values)))
+        np.subtract(backed_up, values, out=values)  # values is the next sweep's output buffer
+        residual = float(np.max(np.abs(values, out=values)))
         values, backed_up = backed_up, values
         if residual <= tol:
             break
@@ -153,7 +173,24 @@ def value_iteration(
         raise RuntimeError(f"value iteration did not reach residual {tol} in {_MAX_SWEEPS} sweeps")
     table.values = values
     table.residual = residual
+    _release_freed_heap()
     return table
+
+
+def _release_freed_heap() -> None:
+    """Give the heap that reachability freed back to the operating system: glibc's ``malloc_trim(0)``.
+
+    The build frees its chunk temporaries and ``IdRows`` runs in pieces below
+    glibc's mmap threshold, so glibc keeps them resident, and they would lift
+    every later phase's memory (by 3.7 MB after value iteration on mactp
+    4-2-12).  The call takes under 1 ms there.  Where libc or the symbol is
+    missing (macOS, Windows, musl) it does nothing.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
 
 
 def _q_blocks(table: MdpValueTable, values: np.ndarray):
@@ -225,11 +262,16 @@ def _reachable_tables(model: DetDecModel, belief: SupportBelief, state_cap: int)
     """The table of the states reachable from the belief's support, its values still zero.
 
     Rows are numbered in the order the states are found, layer by layer and
-    each layer by state id; a layer's successor ids are stored as int32 rows
-    once its new states are known.  The two tables grow in place by whole
-    blocks, one layer at a time (``ndarray.resize`` reallocates, so no
-    second copy is held), and each chunk of ``transition_batch`` rows lands
-    in them with one transposed slice assignment per block it touches.
+    each layer by state id.  The tables grow in place by whole blocks, one
+    layer at a time (``ndarray.resize`` reallocates, so no second copy is
+    held), and each chunk of ``transition_batch`` rows lands in them with one
+    transposed slice assignment per block it touches.  A chunk's successor
+    ids are reduced to its distinct ones at once: until the layer's new
+    states are known, ``succ`` holds each successor's position among its
+    chunk's distinct ids, and a gather per chunk then turns the positions
+    into rows.  So a layer's successor ids are never held whole, only their
+    chunk-distinct ones (557,353 of 5,091,200 in mactp 4-2-12's largest
+    layer).
     """
     roots = sorted(set(belief.states))
     require_int64_state_ids(roots[-1])
@@ -244,42 +286,72 @@ def _reachable_tables(model: DetDecModel, belief: SupportBelief, state_cap: int)
     bounds = model.observation_space_sizes
     # observe_batch renders int64 codes, so none reaches 2**63 whatever the bounds
     obs = np.empty((0, model.agent_count), dtype=np.min_scalar_type(min(max(bounds), 2**63) - 1))
+    terminal = np.empty(0, dtype=bool)
     start = 0  # the first row of the layer
     while frontier.size:
-        layer = np.empty((frontier.size, n_actions), dtype=np.int64)
-        shape = (-(-(start + frontier.size) // block), n_actions, block)
+        stop = start + frontier.size
+        shape = (-(-stop // block), n_actions, block)
+        succ.resize(shape, refcheck=False)
         rewards.resize(shape, refcheck=False)
-        obs.resize((start + frontier.size, model.agent_count), refcheck=False)
+        obs.resize((stop, model.agent_count), refcheck=False)
+        terminal.resize(stop, refcheck=False)
+        found = []  # each chunk's distinct successor ids, sorted
         for lo in range(0, frontier.size, chunk):
-            layer[lo : lo + chunk], r = model.transition_batch(frontier[lo : lo + chunk])
+            states = frontier[lo : lo + chunk]
+            ids, r = model.transition_batch(states)
+            distinct, at = _distinct(ids)
+            _put(succ, start + lo, at)
+            found.append(distinct)
             codes = palette.codes(r)
             if codes.dtype != rewards.dtype:  # the palette outgrew the code dtype
                 rewards = rewards.astype(codes.dtype)
             _put(rewards, start + lo, codes)
-            joint_obs = model.observe_batch(frontier[lo : lo + chunk])
+            joint_obs = model.observe_batch(states)
             _check_observations(joint_obs, bounds)
-            obs[start + lo : start + lo + len(joint_obs)] = joint_obs
-        frontier = index.add(layer)
+            obs[start + lo : start + lo + len(states)] = joint_obs
+            terminal[start + lo : start + lo + len(states)] = model.terminal_batch(states)
+            del ids, r, at, codes, joint_obs  # before the next chunk's
+        offsets = np.cumsum([0] + [part.size for part in found]).tolist()
+        found = np.concatenate(found)
+        frontier = index.add(found)
         if index.size > state_cap:
             raise ResourceLimitError(f"reachable state set exceeds state_cap={state_cap}")
         if index.size > _ROW_LIMIT:
             raise ResourceLimitError(f"reachable state set exceeds the int32 row bound {_ROW_LIMIT}")
-        succ.resize(shape, refcheck=False)
-        for lo in range(0, len(layer), chunk):
-            _put(succ, start + lo, index.rows(layer[lo : lo + chunk]))
-        start += len(layer)
-        del layer  # before the next layer's ids are allocated
+        rows = index.rows(found)
+        for lo, offset in zip(range(start, stop, chunk), offsets):
+            _relabel(succ, lo, min(lo + chunk, stop), rows[offset:])
+        del found, rows  # before the next layer's
+        start = stop
     known, known_rows = index.merged()
     del index  # its runs, before the row-to-state map is allocated
     state_ids = np.empty_like(known)
     state_ids[known_rows] = known
     return MdpValueTable(
-        state_ids, np.zeros(len(known)), np.inf, model.discount, succ, rewards, palette.values, obs, known, known_rows
+        state_ids, np.zeros(len(known)), np.inf, model.discount,
+        succ, rewards, palette.values, obs, terminal, known, known_rows,
     )
+
+
+def _distinct(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct ``ids``, sorted; the position of each id among them, in the shape of ``ids``).
+
+    A sort plus an adjacent compare, as ``IdRows.add`` finds distinct ids.
+    """
+    flat = ids.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    at = np.empty(ordered.size, dtype=np.int32)  # a chunk holds at most 2**16 pairs, or one state's
+    at[order] = np.cumsum(first, dtype=np.int32) - 1
+    return ordered[first], at.reshape(ids.shape)
 
 
 def _check_observations(obs: np.ndarray, bounds: tuple[int, ...]) -> None:
     """Raise ``ValueError`` naming the agent and its bound if an observation is outside ``[0, bound)``."""
+    if within_least_bound(obs, bounds):
+        return
     low, high = obs.min(axis=0).tolist(), obs.max(axis=0).tolist()
     for agent, bound in enumerate(bounds):
         if not (0 <= low[agent] and high[agent] < bound):
@@ -294,6 +366,14 @@ def _put(table: np.ndarray, start: int, part: np.ndarray) -> None:
     for lo in range(start - start % block, stop, block):
         a, b = max(lo, start), min(lo + block, stop)
         table[lo // block, :, a - lo : b - lo] = part[a - start : b - start].T
+
+
+def _relabel(table: np.ndarray, start: int, stop: int, labels: np.ndarray) -> None:
+    """Replace each entry ``x`` of rows ``start`` to ``stop`` of a blocked table by ``labels[x]``."""
+    block = table.shape[2]
+    for lo in range(start - start % block, stop, block):
+        part = table[lo // block, :, max(lo, start) - lo : min(lo + block, stop) - lo]
+        part[...] = labels[part]
 
 
 def default_policy(table: MdpValueTable) -> MdpPolicy:

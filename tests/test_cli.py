@@ -1,9 +1,11 @@
 import csv
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from detdec import cli
 from detdec.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, HISTORY_COLUMNS, RunConfig, main, run_solve
 
 
@@ -63,12 +65,26 @@ class TestSolve:
         assert report["converged"] is True
         assert report["equilibrium_gap"] <= 1e-6 + 1e-3 + 1e-9
         assert report["final_value"] >= report["init_value"] - 1e-12
+        if cli.resource is None:
+            assert report["peak_rss_mb"] is None
+        else:  # an interpreter with numpy loaded holds tens of MB, not KiB or TB
+            assert 20 < report["peak_rss_mb"] < 2**16
         with open(out / "history.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == HISTORY_COLUMNS
         assert "solver_status" in HISTORY_COLUMNS
         statuses = {"converged", "node_budget", "time_budget", "stalled"}
         assert all(row["solver_status"] in statuses for row in rows)
+
+    @pytest.mark.parametrize("platform, mb", [("linux", 3 * 2**10), ("darwin", 3.0)])
+    def test_peak_rss_units(self, monkeypatch, platform, mb):
+        # ru_maxrss is KiB on Linux and bytes on macOS
+        usage = SimpleNamespace(ru_maxrss=3 * 2**20)
+        monkeypatch.setattr(cli, "resource", SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage))
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        assert cli.peak_rss_mb() == mb
+        monkeypatch.setattr(cli, "resource", None)
+        assert cli.peak_rss_mb() is None
 
     def test_init_only_skips_loop(self, tmp_path):
         inst = _gen_instance(tmp_path)

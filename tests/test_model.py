@@ -335,8 +335,18 @@ class TestBatchKernel:
             model.terminal_batch(np.array([s0, -1]))
         with pytest.raises(ValueError, match="agent 1 outside"):
             model.step_batch(np.array([s0]), np.array([[0, 5]]))
+        with pytest.raises(ValueError, match="agent 0 outside"):
+            model.step_batch(np.array([s0, s0]), np.array([[0, 0], [-1, 0]]))
         with pytest.raises(ValueError, match="shape"):
             model.step_batch(np.array([s0]), np.array([[0]]))
+
+
+    def test_action_past_another_agents_bound_is_kept(self):
+        t = {(0, (a0, a1)): (0, (0, 0), 1.0) for a0 in range(2) for a1 in range(3)}
+        m = TabularModel(2, (2, 3), (1, 1), 0.9, t, SupportBelief.point(0))
+        assert m.step_batch(np.array([0, 0]), np.array([[1, 2], [0, 0]]))[2].tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match=r"action for agent 0 outside \[0, 2\)"):
+            m.step_batch(np.array([0]), np.array([[2, 0]]))
 
 
 class TestPinnedDynamics:
