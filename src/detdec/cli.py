@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import envs, idpp
@@ -235,23 +235,7 @@ def run_solve(config: RunConfig, out_dir: Path) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        instance=args.instance,
-        algo=args.algo,
-        seed=args.seed,
-        gamma=args.gamma,
-        value_tolerance=args.value_tolerance,
-        max_rounds=args.max_rounds,
-        agent_order=args.order,
-        epsilon=args.epsilon,
-        node_budget=args.node_budget,
-        time_budget=args.time_budget,
-        max_depth=args.max_depth,
-        mdp_tol=args.mdp_tol,
-        state_cap=args.state_cap,
-        episodes=args.episodes,
-        horizon=args.horizon,
-    )
+    config = RunConfig(instance=args.instance, algo=args.algo, seed=args.seed, **_solver_settings(args))
     if args.out:
         out_dir = Path(args.out)
     else:
@@ -357,14 +341,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown algo {a!r}")
     require_int_at_least("seeds", args.seeds, 1)
     require_int_at_least("workers", args.workers, 1)
-    base = {
-        "gamma": args.gamma, "value_tolerance": args.value_tolerance,
-        "max_rounds": args.max_rounds, "agent_order": args.order,
-        "epsilon": args.epsilon, "node_budget": args.node_budget,
-        "time_budget": args.time_budget, "max_depth": args.max_depth,
-        "mdp_tol": args.mdp_tol, "state_cap": args.state_cap,
-        "episodes": args.episodes, "horizon": args.horizon,
-    }
+    base = _solver_settings(args)
     cells = [
         (instance, algo, seed, base)
         for instance in args.instance
@@ -410,25 +387,33 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # --- argument parsing ------------------------------------------------------------
 
 
+# the RunConfig fields that _add_solver_args gives a flag: all but the run's instance, algo and seed
+_SOLVER_FIELDS = tuple(f for f in fields(RunConfig) if f.name not in ("instance", "algo", "seed"))
+
+
+def _solver_settings(args: argparse.Namespace) -> dict:
+    """The solver settings of ``RunConfig``, read from the parsed flags."""
+    return {f.name: getattr(args, f.name) for f in _SOLVER_FIELDS}
+
+
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=None,
+    """One flag per solver setting of ``RunConfig``, defaulting to its field default."""
+    p.add_argument("--gamma", type=float,
                    help="discount override (default: instance descriptor value)")
-    p.add_argument("--value-tolerance", type=float, default=1e-6,
-                   help="acceptance margin / convergence threshold")
-    p.add_argument("--max-rounds", type=int, default=20)
-    p.add_argument("--order", choices=["ascending", "random"], default="ascending",
+    p.add_argument("--value-tolerance", type=float, help="acceptance margin / convergence threshold")
+    p.add_argument("--max-rounds", type=int)
+    p.add_argument("--order", dest="agent_order", choices=["ascending", "random"],
                    help="agent update order per round")
-    p.add_argument("--epsilon", type=float, default=1e-3, help="subsolver bound-gap target")
-    p.add_argument("--node-budget", type=int, default=20_000,
-                   help="subsolver belief expansions per call")
-    p.add_argument("--time-budget", type=float, default=None,
+    p.add_argument("--epsilon", type=float, help="subsolver bound-gap target")
+    p.add_argument("--node-budget", type=int, help="subsolver belief expansions per call")
+    p.add_argument("--time-budget", type=float,
                    help="subsolver seconds per call (unset keeps runs reproducible)")
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--mdp-tol", type=float, default=1e-6)
-    p.add_argument("--state-cap", type=int, default=2_000_000)
-    p.add_argument("--episodes", type=int, default=100_000,
-                   help="Monte Carlo episodes for the final report")
-    p.add_argument("--horizon", type=int, default=100)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--mdp-tol", type=float)
+    p.add_argument("--state-cap", type=int)
+    p.add_argument("--episodes", type=int, help="Monte Carlo episodes for the final report")
+    p.add_argument("--horizon", type=int)
+    p.set_defaults(**{f.name: f.default for f in _SOLVER_FIELDS})
 
 
 def build_parser() -> argparse.ArgumentParser:

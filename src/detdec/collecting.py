@@ -183,10 +183,6 @@ class CollectingModel(DetDecModel):
             carries.append(carry)
         return tuple(cells), tuple(carries), boxmask, flags
 
-    def _check_state(self, state: int) -> None:
-        if not 0 <= state < self._state_card:
-            raise ValueError(f"state id {state} outside [0, {self._state_card})")
-
     # --- dynamics ----------------------------------------------------------
 
     def step(self, state, action):
@@ -227,10 +223,10 @@ class CollectingModel(DetDecModel):
 
     def _build_batch_tables(self) -> tuple[np.ndarray, ...]:
         """Per free index and action, the free index moved to (-1: WAIT, wall or
-        obstacle); per free index, its goal's flag bit (0 off goals); joint
-        actions; per free index and cell of its 3x3 patch, the cell's free
-        index (-1: wall or obstacle), box-bit shift and static render code;
-        the base-5 digit of each patch cell."""
+        obstacle); per free index, its goal's flag bit (0 off goals); per free
+        index and cell of its 3x3 patch, the cell's free index (-1: wall or
+        obstacle), box-bit shift and static render code; the base-5 digit of
+        each patch cell."""
         target = np.full((self._C, ACTION_COUNT), -1, dtype=np.int64)
         for f, cell in enumerate(self._free):
             for a, delta in enumerate(self._delta):
@@ -239,7 +235,6 @@ class CollectingModel(DetDecModel):
             [1 << self._goal_slot[cell] if cell in self._goal_slot else 0 for cell in self._free],
             dtype=np.int64,
         )
-        joint = np.array(self.joint_actions(), dtype=np.int64).T  # (agents, joint actions)
         patch = np.array([[self._fidx.get(c, -1) for c in self._around[cell]] for cell in self._free],
                          dtype=np.int64)
         # a shift of 63 reads no box bit, which keeps boxes off walls and obstacles
@@ -247,29 +242,22 @@ class CollectingModel(DetDecModel):
         patch_base = np.array([[self._base[c] for c in self._around[cell]] for cell in self._free],
                               dtype=np.int64)
         digits = 5 ** np.arange(patch.shape[1], dtype=np.int64)
-        return target, goal_bit, joint, patch, box_shift, patch_base, digits
+        return target, goal_bit, patch, box_shift, patch_base, digits
 
     def _tables(self) -> tuple[np.ndarray, ...]:
         if self._batch is None:
             self._batch = self._build_batch_tables()
         return self._batch
 
-    def transition_batch(self, states):
-        states = checked_state_ids(states, self._state_card)
-        joint = self._tables()[2]
-        return self._advance(states[:, None], joint)
-
-    def step_batch(self, states, joint_actions):
-        states = checked_state_ids(states, self._state_card)
-        actions = self.checked_joint_actions(joint_actions, len(states))
-        succ, reward = self._advance(states, actions.T)
-        return succ, self.observe_batch(succ), reward
-
     def _advance(self, states: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
         """The move rules of ``transition_only`` over arrays: (successors, rewards).
 
         ``actions[i]`` is agent ``i``'s action array; it broadcasts against
-        ``states``, which sets the shape of the result.
+        ``states``, and all of them together set the shape of the result.
+        The base class derives ``transition_batch`` and ``step_batch`` from
+        it.  Each update is out of place, so agent ``i``'s arrays may take
+        the axis of its own actions while the agents before it have moved
+        on theirs.
         """
         target, goal_bit = self._tables()[:2]
         n_flags = self._flags_full + 1
@@ -282,20 +270,20 @@ class CollectingModel(DetDecModel):
             carry.append(agent_slot & 1)
         # agents in order, as in transition_only, each seeing the cells of
         # the agents that moved before it
-        reward = np.zeros(np.broadcast_shapes(states.shape, np.shape(actions[0])))
+        reward = 0.0
         for i in range(self.agent_count):
             to = target[fidx[i], actions[i]]
             moves = to >= 0
             for j in range(self.agent_count):
                 if j != i:
-                    moves &= to != fidx[j]
+                    moves = moves & (to != fidx[j])
             to = np.where(moves, to, fidx[i])
             bit = goal_bit[to]
             delivers = moves & (carry[i] == 1) & (bit != 0) & (flags & bit == 0)
             picks = moves & (carry[i] == 0) & (boxmask >> to & 1 == 1)
             flags = flags | np.where(delivers, bit, 0)
             boxmask = boxmask & ~np.where(picks, 1 << to, 0)
-            reward += np.where(delivers, DELIVERY_REWARD, 0.0)
+            reward = reward + np.where(delivers, DELIVERY_REWARD, 0.0)
             carry[i] = np.where(delivers, 0, np.where(picks, 1, carry[i]))
             fidx[i] = to
         new_code = 0
@@ -330,7 +318,7 @@ class CollectingModel(DetDecModel):
 
     def observe_batch(self, states):
         """``_observe`` over an array of states: one row per state, one column per agent."""
-        patch, box_shift, patch_base, digits = self._tables()[3:]
+        patch, box_shift, patch_base, digits = self._tables()[2:]
         high = states // (self._flags_full + 1)
         code, boxmask = np.divmod(high, 1 << self._C)
         boxmask = boxmask[:, None]

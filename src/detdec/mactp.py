@@ -181,10 +181,6 @@ class MactpModel(DetDecModel):
             positions.append(p + 1)
         return tuple(positions), bits, dones
 
-    def _check_state(self, state: int) -> None:
-        if not 0 <= state < self._state_card:
-            raise ValueError(f"state id {state} outside [0, {self._state_card})")
-
     # --- dynamics ----------------------------------------------------------
 
     def step(self, state, action):
@@ -254,27 +250,13 @@ class MactpModel(DetDecModel):
             self._batch = self._build_batch_tables()
         return self._batch
 
-    def transition_batch(self, states):
-        states = checked_state_ids(states, self._state_card)
-        k = self.agent_count
-        # agent i's actions on axis i + 1, so its move is computed once per own action
-        actions = [np.arange(ACTION_COUNT).reshape((-1,) + (1,) * (k - 1 - i)) for i in range(k)]
-        succ, reward = self._advance(states.reshape((-1,) + (1,) * k), actions)
-        shape = (len(states), self.num_joint_actions)
-        return succ.reshape(shape), reward.reshape(shape)
-
-    def step_batch(self, states, joint_actions):
-        states = checked_state_ids(states, self._state_card)
-        actions = self.checked_joint_actions(joint_actions, len(states))
-        succ, reward = self._advance(states, actions.T)
-        return succ, self.observe_batch(succ), reward
-
     def _advance(self, states: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
         """The move rules of ``transition_only`` over arrays: (successors, rewards).
 
         ``actions[i]`` is agent ``i``'s action array; it broadcasts against
         ``states``, and all of them together set the shape of the result.
-        Agents do not meet, so agent ``i``'s move, cost and arrival are
+        The base class derives ``transition_batch`` and ``step_batch`` from
+        it.  Agents do not meet, so agent ``i``'s move, cost and arrival are
         computed on ``states`` and ``actions[i]`` alone; only its successor
         term (position and arrived flag) and its reward are added across the
         agents.  Arrived agents are frozen, so an all-arrived state stays put

@@ -2,15 +2,16 @@
 
 Models are generative: dynamics are computed on demand by pure functions
 over packed integer states, never materialized as transition matrices
-(benchmark instances reach millions of states).  ``transition_only`` holds
-the move rules; ``step`` adds the joint observation, which is a function of
-the successor state alone: ``observe_batch`` renders it for an array of
-states, so the relaxation's reachability pass stores it once per state.
-``transition_batch`` is the move rules over an array of states and every
-joint action at once, for that pass; ``step_batch`` is ``step`` over arrays
-of states and one joint action per row, for policy evaluation.  The only
-probabilistic object in the whole system is the initial belief, held as an
-explicit support with integer weights.
+(benchmark instances reach millions of states).  A model gives its move
+rules over arrays once, as ``_advance``, and renders the joint observation,
+a function of the successor state alone, with ``observe_batch``, so the
+relaxation's reachability pass stores it once per state.  The base class
+derives both batch forms from ``_advance``: ``transition_batch`` is the
+move rules over an array of states and every joint action at once, for
+that pass; ``step_batch`` is ``step`` over arrays of states and one joint
+action per row, for policy evaluation.  The only probabilistic object in
+the whole system is the initial belief, held as an explicit support with
+integer weights.
 """
 from __future__ import annotations
 
@@ -42,8 +43,9 @@ def require_int64_state_ids(max_id: int) -> None:
 def checked_state_ids(states, state_card: int) -> np.ndarray:
     """``states`` as an int64 array, each checked to lie in ``[0, state_card)``.
 
-    The entry guard of the environments' ``transition_batch``: it raises
-    before any work when the model's ids could wrap in int64 arithmetic.
+    The entry guard of ``transition_batch``, ``step_batch`` and the
+    environments' ``terminal_batch``: it raises before any work when the
+    model's ids could wrap in int64 arithmetic.
     """
     require_int64_state_ids(state_card - 1)
     states = np.asarray(states, dtype=np.int64)
@@ -242,15 +244,15 @@ class DetDecModel(abc.ABC):
       * ``step`` is a pure function: identical ``(state, action)`` always
         yields an identical ``(successor, joint observation, reward)``
         triple, and the instance holds no mutable internal state.
-      * ``transition_only`` returns the same ``(successor, reward)`` as
-        ``step``.
-      * ``transition_batch`` equals ``transition_only`` row by row: entry
-        ``[r, j]`` of its two tables is ``transition_only(states[r], a_j)``
-        for the ``j``-th joint action in ``joint_actions()`` order.
-      * ``step_batch`` equals ``step`` row by row: row ``r`` of its
+      * ``_advance`` is the move rules over arrays and agrees with ``step``
+        entry by entry; the base class derives ``transition_batch`` (entry
+        ``[r, j]`` of its two tables is the successor and reward of
+        ``step(states[r], a_j)`` for the ``j``-th joint action in
+        ``joint_actions()`` order) and ``step_batch`` (row ``r`` of its
         successors, observations and rewards is
-        ``step(states[r], tuple(joint_actions[r]))``; ``terminal_batch``
-        equals ``is_terminal`` entry by entry.
+        ``step(states[r], tuple(joint_actions[r]))``) from it, both on ids
+        in ``[0, _state_card)``.  ``terminal_batch`` equals ``is_terminal``
+        entry by entry.
       * The joint observation is a function of the successor state: row
         ``r`` of ``observe_batch(states)`` is the joint observation of every
         ``step`` that ends in ``states[r]``, each agent's in
@@ -264,6 +266,7 @@ class DetDecModel(abc.ABC):
     action_space_sizes: tuple[int, ...]
     observation_space_sizes: tuple[int, ...]
     discount: float
+    _state_card: int  # every state id lies in [0, _state_card)
 
     @abc.abstractmethod
     def step(self, state: StateId, action: JointAction) -> tuple[StateId, JointObservation, float]:
@@ -281,29 +284,30 @@ class DetDecModel(abc.ABC):
     def reward_bounds(self) -> tuple[float, float]:
         """Inclusive bounds on the one-step reward over reachable (s, a)."""
 
-    def transition_only(self, state: StateId, action: JointAction) -> tuple[StateId, float]:
-        """(successor, reward): the dynamics kernel.
+    @abc.abstractmethod
+    def _advance(self, states: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray]:
+        """The move rules over arrays: (successors int64, rewards float64).
 
-        Environments implement their move rules here and build ``step`` on
-        it by rendering the observation of the successor.  This default
-        serves table-backed models whose ``step`` is the primary form.
+        ``actions[i]`` is agent ``i``'s action array; it broadcasts against
+        ``states``, and all of them together set the shape of the result.
         """
-        s2, _, r = self.step(state, action)
-        return s2, r
+
+    def _check_state(self, state: StateId) -> None:
+        if not 0 <= state < self._state_card:
+            raise ValueError(f"state id {state} outside [0, {self._state_card})")
 
     def transition_batch(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(successors int64, rewards float64), both ``(len(states), num_joint_actions)``.
 
-        Columns follow the joint action index.  Environments override this
-        with array code; this default loops over ``transition_only``.
+        Columns follow the joint action index.
         """
-        joint = self.joint_actions()
-        succ = np.empty((len(states), len(joint)), dtype=np.int64)
-        rewards = np.empty(succ.shape)
-        for row, s in enumerate(np.asarray(states).tolist()):
-            for col, a in enumerate(joint):
-                succ[row, col], rewards[row, col] = self.transition_only(s, a)
-        return succ, rewards
+        states = checked_state_ids(states, self._state_card)
+        k = self.agent_count
+        # agent i's actions on axis i + 1, so its move is computed once per own action
+        actions = [np.arange(n).reshape((-1,) + (1,) * (k - 1 - i)) for i, n in enumerate(self.action_space_sizes)]
+        succ, reward = self._advance(states.reshape((-1,) + (1,) * k), actions)
+        shape = (len(states), self.num_joint_actions)
+        return succ.reshape(shape), reward.reshape(shape)
 
     def step_batch(
         self, states: np.ndarray, joint_actions: np.ndarray
@@ -311,17 +315,11 @@ class DetDecModel(abc.ABC):
         """(successors int64 ``(n,)``, observations int64 ``(n, agents)``, rewards float64 ``(n,)``).
 
         ``joint_actions`` holds one joint action per row of ``states``.
-        Environments override this with array code; this default loops over
-        ``step`` and serves table-backed models.
         """
-        states = np.asarray(states, dtype=np.int64)
+        states = checked_state_ids(states, self._state_card)
         actions = self.checked_joint_actions(joint_actions, len(states))
-        succ = np.empty(len(states), dtype=np.int64)
-        obs = np.empty((len(states), self.agent_count), dtype=np.int64)
-        rewards = np.empty(len(states))
-        for row, (s, a) in enumerate(zip(states.tolist(), actions.tolist())):
-            succ[row], obs[row], rewards[row] = self.step(s, tuple(a))
-        return succ, obs, rewards
+        succ, reward = self._advance(states, actions.T)
+        return succ, self.observe_batch(succ), reward
 
     @abc.abstractmethod
     def observe_batch(self, states: np.ndarray) -> np.ndarray:
@@ -453,6 +451,7 @@ class TabularModel(DetDecModel):
                     self._copied[target], fresh = s2, fresh + 1
                 self._observations[target] = obs
             self._transitions[(s, a)] = (target, obs, r)
+        self._state_card = min(fresh, 2**63)  # a belief may name ids past int64; the arrays never hold one
 
     def step(self, state, action):
         action = tuple(action)
@@ -463,6 +462,15 @@ class TabularModel(DetDecModel):
             return self._transitions[(self._copied.get(state, state), action)]
         except KeyError:
             raise ValueError(f"no transition for state {state}, action {action}") from None
+
+    def _advance(self, states, actions):
+        """``step`` at each entry of ``states`` and ``actions`` broadcast together."""
+        arrays = np.broadcast_arrays(states, *actions)
+        succ = np.empty(arrays[0].shape, dtype=np.int64)
+        reward = np.empty(succ.shape)
+        for at in np.ndindex(succ.shape):
+            succ[at], _, reward[at] = self.step(int(arrays[0][at]), tuple(int(a[at]) for a in arrays[1:]))
+        return succ, reward
 
     def observe_batch(self, states):
         states = np.asarray(states, dtype=np.int64).tolist()

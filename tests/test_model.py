@@ -43,11 +43,11 @@ def _small_benchmark_models():
 
 
 def _assert_batch_matches_scalar(model, states):
-    """``transition_batch`` row by row against ``transition_only`` in joint-index order."""
+    """``transition_batch`` row by row against ``step`` in joint-index order."""
     succ, rewards = model.transition_batch(np.array(states, dtype=np.int64))
     assert succ.dtype == np.int64 and rewards.dtype == np.float64
     assert succ.shape == rewards.shape == (len(states), model.num_joint_actions)
-    want = [model.transition_only(s, a) for s in states for a in model.joint_actions()]
+    want = [model.step(s, a)[::2] for s in states for a in model.joint_actions()]
     assert succ.ravel().tolist() == [s2 for s2, _ in want]
     # by bit pattern: == lets -0.0 pass for 0.0, and the relaxation's palette keys rewards by bits
     assert rewards.ravel().view(np.int64).tolist() == np.array([r for _, r in want], dtype=np.float64).view(np.int64).tolist()
@@ -234,11 +234,6 @@ class TestModelContract:
         assert s2 == 0 and r == 0.0
 
     def test_transition_only_matches_step(self):
-        m = chain_model()
-        for s in (0, 1):
-            for a in ((0,), (1,), (2,)):
-                s2, obs, r = m.step(s, a)
-                assert m.transition_only(s, a) == (s2, r)
         for m in _small_benchmark_models():
             for s, a in _reachable_pairs(m):
                 s2, obs, r = m.step(s, a)
@@ -253,20 +248,31 @@ class TestModelContract:
 
 
 class TestBatchKernel:
-    """The array kernels against the scalar ``transition_only`` they port."""
+    """The array kernels, through the batch methods the base class derives from them, against ``step``."""
 
     def test_reachable_pairs_of_small_benchmarks(self):
         for model in _small_benchmark_models():
             _assert_batch_matches_scalar(model, value_iteration(model).state_ids.tolist())
 
-    @pytest.mark.parametrize("spec", [MactpSpec(3, 1, 3, 0), MactpSpec(3, 3, 3, 0)], ids=["mactp-a1", "mactp-a3"])
+    @pytest.mark.parametrize(
+        "spec",
+        [MactpSpec(3, 1, 3, 0), MactpSpec(3, 3, 3, 0), CollectingSpec(4, 3, 1, 2, 0), CollectingSpec(4, 3, 3, 2, 0)],
+        ids=["mactp-a1", "mactp-a3", "collecting-a1", "collecting-a3"],
+    )
     def test_reachable_pairs_across_agent_counts(self, spec):
-        # one and three agents: each agent's actions get an axis of their own in transition_batch
-        model = mactp_generate(spec)
-        _assert_batch_matches_scalar(model, value_iteration(model).state_ids[::17].tolist())
+        # one and three agents: each agent's actions get an axis of their own in transition_batch,
+        # and collecting's agents move in order, each against the cells of those before it
+        model = (mactp_generate if isinstance(spec, MactpSpec) else collecting_generate)(spec)
+        states = value_iteration(model).state_ids[::17].tolist()
+        _assert_batch_matches_scalar(model, states)
+        if model.agent_count == 3:
+            _assert_step_batch_matches_scalar(model, states)
 
-    def test_default_loops_over_transition_only(self):
-        _assert_batch_matches_scalar(chain_model(), [0, 1, 2])
+    @pytest.mark.parametrize("make", [chain_model, action_obs_model], ids=["chain", "action-obs"])
+    def test_tabular_transition_batch_matches_step(self, make):
+        # action_obs_model: three agents with 2, 3 and 2 actions, and copies of its states
+        model = make()
+        _assert_batch_matches_scalar(model, value_iteration(model).state_ids.tolist())
 
     @settings(max_examples=60, deadline=None)
     @given(_mactp_states)
@@ -290,8 +296,17 @@ class TestBatchKernel:
         for model in _small_benchmark_models():
             _assert_step_batch_matches_scalar(model, value_iteration(model).state_ids.tolist())
 
-    def test_step_batch_default_loops_over_step(self):
-        _assert_step_batch_matches_scalar(chain_model(), [0, 1, 2])
+    @pytest.mark.parametrize("make", [chain_model, action_obs_model], ids=["chain", "action-obs"])
+    def test_tabular_step_batch_matches_step(self, make):
+        model = make()
+        _assert_step_batch_matches_scalar(model, value_iteration(model).state_ids.tolist())
+
+    def test_tabular_batch_rejects_negative_id(self):
+        m = chain_model()
+        with pytest.raises(ValueError, match="outside"):
+            m.step_batch(np.array([0, -1]), np.zeros((2, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="outside"):
+            m.transition_batch(np.array([-1]))
 
     @settings(max_examples=60, deadline=None)
     @given(_mactp_states)
