@@ -277,9 +277,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = envs.load_model(args.instance)
     policy = deserialize(Path(args.policy).read_text(encoding="utf-8"))
     _check_policy_matches(model, policy)
+    t0 = time.perf_counter()
     report = evaluate(model, policy, exact=args.exact, episodes=args.episodes,
                       horizon=args.horizon, seed=args.seed)
-    doc = report.to_dict()
+    # wall-clock and memory beside, never inside, the report's value fields
+    doc = {**report.to_dict(), "seconds": time.perf_counter() - t0, "peak_rss_mb": peak_rss_mb()}
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
                                   encoding="utf-8")

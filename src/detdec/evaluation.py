@@ -8,7 +8,8 @@ cycle.
 
 Both evaluators advance all their points in lockstep: one
 ``model.step_batch`` call per frontier or time step, with each controller
-held as arrays (``FscArrays``).  Exact evaluation finds the trajectory graph
+held as arrays (``FscArrays``: a node's successor is one gather from a
+node-by-observation table, its column found by bucket).  Exact evaluation finds the trajectory graph
 frontier by frontier, then values it from its ends back: 0 at a terminal
 point, the closed-form cycle sum on a cycle, ``r + gamma * V(next)``
 elsewhere.  A point's value is a fixed function of the graph, so the order

@@ -6,7 +6,11 @@ successor (by default the node itself), so execution is total even on
 observations never reached during planning.
 
 ``FscArrays`` holds a controller as arrays, to advance many executions of
-it at once.
+it at once: a transition table with one row per node and one column per
+distinct mapped observation, plus a last column of fallbacks, so its
+memory is ``nodes x (observations + 1)`` cells, at most
+``TABLE_CELL_LIMIT``.  A bucket index over the sorted observations finds a
+column without a binary search unless two observations share a bucket.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PolicyFormatError
+from .errors import PolicyFormatError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -88,25 +92,41 @@ class Fsc:
 
 
 _INT64_MAX = 2**63 - 1
+TABLE_CELL_LIMIT = 2**26  # cells of one FscArrays transition table
 
 
 class FscArrays:
-    """Array view of a controller: action and fallback per node, transitions as sorted keys.
+    """Array view of a controller: an action per node and a transition table.
 
-    A transition ``(node, obs) -> target`` is keyed ``node * len(observations)
-    + rank``, where ``rank`` is the position of ``obs`` in ``observations``,
-    the sorted distinct observations the controller maps.  Keys of different
-    nodes therefore never alias, whatever the observation values.  Observations
-    beyond int64 are left out: no array of observations can hold them.
+    ``observations`` are the sorted distinct observations the controller
+    maps, ``W`` of them.  ``table`` has ``nodes x (W + 1)`` cells, flattened
+    row-major: cell ``node * (W + 1) + rank`` is the successor of ``node`` on
+    ``observations[rank]``, the node's fallback where it does not map that
+    observation, and the last column is every node's fallback, read for any
+    observation outside ``observations``.  Cells are the narrowest unsigned
+    type that holds a node index and are read back as int64.  The table is
+    quadratic in controller size: a controller whose table would pass
+    ``TABLE_CELL_LIMIT`` cells raises ``ResourceLimitError`` before it is
+    allocated.  Observations beyond int64 are left out: no array of
+    observations can hold them.
+
+    An observation's rank is found by bucket, as ``evaluation._bins`` finds
+    a draw's bin: observation ``o`` falls in bucket ``min(o >> shift, B)``,
+    where ``shift`` is 0 or leaves at least 16 buckets per observation below
+    bucket ``B``, which takes everything above the largest observation.  ``_first``
+    holds one rank per bucket: the bucket's only observation, an observation
+    outside an empty bucket, or -1 where the bucket holds two or more
+    observations.  Only rows in such buckets take a binary search, and a
+    row whose observation is not the one its rank names reads the fallback
+    column.
     """
 
-    __slots__ = ("initial_node", "actions", "fallback", "observations", "keys", "targets")
+    __slots__ = ("initial_node", "actions", "observations", "table", "_shift", "_first", "_searched")
 
     def __init__(self, fsc: Fsc) -> None:
         nodes = fsc.nodes
         self.initial_node = fsc.initial_node
         self.actions = np.array([n.action for n in nodes], dtype=np.int64)
-        self.fallback = np.array([n.fallback for n in nodes], dtype=np.int64)
         edges = [
             (index, obs, target)
             for index, n in enumerate(nodes)
@@ -115,10 +135,24 @@ class FscArrays:
         ]
         index, obs, target = np.array(edges, dtype=np.int64).reshape(-1, 3).T
         self.observations, rank = np.unique(obs, return_inverse=True)
-        keys = index * self.observations.size + rank
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.targets = target[order]
+        width = self.observations.size
+        cells = len(nodes) * (width + 1)
+        if cells > TABLE_CELL_LIMIT:
+            raise ResourceLimitError(
+                f"controller of {len(nodes)} nodes maps {width} distinct observations: its transition "
+                f"table of {cells} cells passes the limit of {TABLE_CELL_LIMIT} cells"
+            )
+        fallback = np.array([n.fallback for n in nodes], dtype=np.min_scalar_type(len(nodes) - 1))
+        self.table = np.repeat(fallback, width + 1)
+        self.table[index * (width + 1) + rank] = target
+        top = int(self.observations[-1]) if width else 0
+        # an int64 scalar, so that shifting uint16 and uint32 observations widens them
+        self._shift = np.int64(max(0, top.bit_length() - (16 * width).bit_length() - 1))
+        first = np.searchsorted(self.observations, np.arange((top >> self._shift) + 1) << self._shift)
+        crowded = np.diff(first, append=width) > 1
+        # bucket B, and any empty bucket past the largest observation, names the largest
+        self._first = np.append(np.where(crowded, -1, np.minimum(first, width - 1)), width - 1)
+        self._searched = bool(crowded.any())
 
     @classmethod
     def checked(cls, fsc: Fsc, agent: int, action_count: int) -> "FscArrays":
@@ -129,16 +163,20 @@ class FscArrays:
         return cls(fsc)
 
     def advance(self, nodes: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        """Successor node per row, as ``Fsc.advance(nodes[r], obs[r])``."""
-        fallback = self.fallback[nodes]
-        if not self.keys.size:
-            return fallback
+        """Successor node per row, as ``Fsc.advance(nodes[r], obs[r])``.
+
+        ``obs`` is an int64, uint32 or uint16 array of non-negative
+        observations; the result is int64.
+        """
         width = self.observations.size
-        rank = np.minimum(np.searchsorted(self.observations, obs), width - 1)
-        key = nodes * width + rank
-        at = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
-        hit = (self.observations[rank] == obs) & (self.keys[at] == key)
-        return np.where(hit, self.targets[at], fallback)
+        if not width:  # the table is the fallback column
+            return self.table[nodes].astype(np.int64)
+        rank = self._first[np.minimum(obs >> self._shift, self._first.size - 1)]
+        if self._searched:
+            split = rank < 0
+            rank[split] = np.minimum(np.searchsorted(self.observations, obs[split]), width - 1)
+        rank[self.observations[rank] != obs] = width
+        return self.table[nodes * (width + 1) + rank].astype(np.int64)
 
 
 class JointPolicy:

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from detdec import cli
+from detdec import cli, deserialize, envs
 from detdec.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_OK, HISTORY_COLUMNS, RunConfig, main, run_solve
+from detdec.evaluation import evaluate
 
 
 def _gen_instance(tmp_path, name="inst.json", seed=42, edges=3):
@@ -211,6 +212,19 @@ class TestEval:
         doc = json.loads(report_path.read_text())
         assert doc["exact_value"] is not None
         assert doc["mc_mean"] is not None
+
+    def test_out_report_adds_time_and_memory(self, tmp_path):
+        inst, policy = self._solved(tmp_path)
+        report_path = tmp_path / "eval.json"
+        assert main(["eval", str(inst), str(policy), "--exact", "--episodes", "1000",
+                     "--seed", "5", "--out", str(report_path)]) == EXIT_OK
+        doc = json.loads(report_path.read_text())
+        seconds, peak = doc.pop("seconds"), doc.pop("peak_rss_mb")
+        assert seconds > 0
+        assert peak is None or peak > 0
+        model = envs.load_model(str(inst))
+        expected = evaluate(model, deserialize(policy.read_text()), exact=True, episodes=1000, seed=5)
+        assert doc == expected.to_dict()
 
     @pytest.mark.parametrize("settings, name", [
         (["--episodes", "0", "--horizon", "-5"], "horizon"),

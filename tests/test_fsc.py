@@ -1,7 +1,11 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from detdec import Fsc, FscNode, JointPolicy, PolicyFormatError, deserialize, serialize
+from detdec import Fsc, FscNode, JointPolicy, PolicyFormatError, ResourceLimitError, deserialize, serialize
+from detdec.fsc import TABLE_CELL_LIMIT, FscArrays
 
 
 class TestActAdvance:
@@ -109,3 +113,87 @@ class TestSerialization:
         ):
             with pytest.raises(PolicyFormatError, match=r"agents\[0\].nodes\[0\].action"):
                 deserialize(doc)
+
+
+def _random_fsc(rng, mapped, nodes=12):
+    """A controller whose nodes map random subsets of ``mapped``; node 0 maps none."""
+    return Fsc([
+        FscNode(
+            0,
+            {} if index == 0 else {
+                int(o): int(rng.integers(nodes)) for o in rng.choice(mapped, int(rng.integers(len(mapped) + 1)))
+            },
+            int(rng.integers(nodes)),
+        )
+        for index in range(nodes)
+    ])
+
+
+def _queries(mapped):
+    """Every mapped observation, with unmapped ones below, between and above them."""
+    mapped = sorted(mapped)
+    between = [o + 1 for o, nxt in zip(mapped, mapped[1:]) if nxt > o + 1]
+    below = [mapped[0] - 1] if mapped[0] else []
+    return mapped + between + below + [mapped[-1] + 1, mapped[-1] + 1000, 2**63 - 1]
+
+
+class TestFscArraysAdvance:
+    """``FscArrays.advance`` against ``Fsc.advance``, row by row."""
+
+    MAPPED = {
+        "spread": [3, 17, 40, 41, 900, 65_000],
+        # one observation far above the rest packs these into bucket 0, which only a search splits
+        "packed": [0, 1, 2, 5, 9, 2**40],
+        "large": [2**62, 2**62 + 7, 2**63 - 2],
+    }
+
+    def _check(self, fsc, obs, dtype):
+        arrays = FscArrays(fsc)
+        obs = np.array([o for o in obs if o <= np.iinfo(dtype).max], dtype=dtype)
+        nodes = np.repeat(np.arange(fsc.size), obs.size)
+        obs = np.tile(obs, fsc.size)
+        got = arrays.advance(nodes, obs)
+        assert got.dtype == np.int64
+        assert got.tolist() == [fsc.advance(int(n), int(o)) for n, o in zip(nodes, obs)]
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.int64])
+    @pytest.mark.parametrize("kind", sorted(MAPPED))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_fsc(self, kind, seed, dtype):
+        mapped = self.MAPPED[kind]
+        self._check(_random_fsc(np.random.default_rng(seed), mapped), _queries(mapped), dtype)
+
+    def test_packed_observations_take_the_search(self):
+        fsc = Fsc([FscNode(0, {o: 1 for o in self.MAPPED["packed"]}), FscNode(0)])
+        assert (FscArrays(fsc)._first < 0).any()
+        self._check(fsc, _queries(self.MAPPED["packed"]), np.int64)
+
+    def test_no_transitions(self):
+        fsc = Fsc([FscNode(0, fallback=1), FscNode(1), FscNode(0, fallback=0)])
+        for dtype in (np.uint16, np.uint32, np.int64):
+            self._check(fsc, [0, 1, 7, 65_535], dtype)
+
+    def test_key_past_int64_is_left_out(self):
+        fsc = Fsc([FscNode(0, {2**64 + 3: 1, 5: 1}, fallback=0), FscNode(0, {2**63: 0})])
+        assert FscArrays(fsc).observations.tolist() == [5]
+        self._check(fsc, [0, 3, 5, 6, 2**63 - 1], np.int64)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.int64])
+    @pytest.mark.parametrize("transitions", [{}, {4: 1}])
+    def test_empty_arrays(self, transitions, dtype):
+        arrays = FscArrays(Fsc([FscNode(0, transitions), FscNode(0)]))
+        got = arrays.advance(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype))
+        assert got.dtype == np.int64 and got.size == 0
+
+    def test_table_past_cell_limit_is_refused_before_allocation(self):
+        nodes = 8_193  # each maps an observation of its own: 8,193 x 8,194 cells
+        assert nodes * (nodes + 1) > TABLE_CELL_LIMIT
+        fsc = Fsc([FscNode(0, {index: index}) for index in range(nodes)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=rf"{nodes} nodes maps {nodes} distinct observations.*{TABLE_CELL_LIMIT}"):
+                FscArrays(fsc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the table alone would be 128 MB of uint16 cells
