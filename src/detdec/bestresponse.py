@@ -29,21 +29,21 @@ agents' nodes in mixed radix, the first other agent least significant (as
 node counts, so in the initialization problem ``W`` is 1 and the id is the
 row.  Ids are canonical: equal extended states have equal ids, so nothing
 is interned, and belief atoms sort by table row, then by the other agents'
-nodes.  ``BrDetPomdp`` is the one owner of this format (``pack``,
-``unpack`` and the scalar ``ext``); the largest id is checked against the
-int64 bound at construction.
+nodes.  ``BrDetPomdp`` is the one owner of this format (``step_ids`` and
+the scalar ``ext``); the largest id is checked against the int64 bound at
+construction, which covers every id a step can make.
 
-``step_rows`` is the step the solver runs: it moves (table row, other
-agents' nodes) rows under one own action each, with successors and rewards
-read from the table's ``transitions``, the joint observation gathered from
-the table's observation codes at the successor rows, and the other agents'
-nodes advanced through ``FscArrays``; the search values controllers on it
-directly.  ``step_actions`` is ``step_rows`` over a belief's atoms under
-every own action, with the successors packed into ids: every expansion is
-one such call.  ``step`` moves one extended state under one own action with
-its observation and reward from the model's own ``step``, through the
-transition cache; it serves ``exact_belief_vi``, the solver's oracle, and
-the tests that hold ``step_actions`` to it.
+``step_ids`` is the step the solver runs: a few gathers on arrays built
+at construction, per other agent its part of the joint action index per
+node and its *observation column*, its controller's table column
+(``FscArrays.ranks``) of the observation each table row is entered with.
+A step reads successors and rewards from the table's ``transitions`` and
+moves each other agent to the table cell of its node and its column at the
+successor row.  ``step_actions`` is ``step_ids`` over a belief's atoms
+under every own action: every expansion is one such call.  ``step`` moves
+one extended state under one own action through the model's own ``step``
+and the transition cache; it serves ``exact_belief_vi``, the solver's
+oracle, and the tests that hold ``step_actions`` to it.
 """
 from __future__ import annotations
 
@@ -53,10 +53,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MissingStateError
-from .evaluation import pack_points, unpack_points
+from .evaluation import pack_points
 from .fsc import FscArrays, JointPolicy
 from .mdp import MdpPolicy, MdpValueTable
 from .model import DetDecModel, StateId, SupportBelief, TransitionCache
+
+_COLUMN_BLOCK = 1 << 13  # table rows per ``ranks`` call while an observation column is built
 
 
 class ExtState(NamedTuple):
@@ -97,30 +99,31 @@ class BrDetPomdp:
         sizes = model.action_space_sizes
         self._stride = prod(sizes[agent + 1 :])
         self._joint_tuples = model.joint_actions()
-        # (agent, controller arrays, joint action stride) of each other agent with a controller
-        self._other_arrays = [] if other_controllers is None else [
-            (j, FscArrays.checked(other_controllers[j], j, sizes[j]), prod(sizes[j + 1 :]))
-            for j in self.others
+        self._own_actions = np.arange(self.action_count)[:, None]
+        self._own_obs = value_table.obs[:, agent]
+        others = [] if other_controllers is None else [
+            (j, FscArrays.checked(other_controllers[j], j, sizes[j])) for j in self.others
         ]
         # the node count of each other agent's controller: the radix of an id's code
-        self._sizes = tuple(arrays.actions.size for _, arrays, _ in self._other_arrays)
-        self._width = prod(self._sizes)
+        self._sizes = tuple(arrays.actions.size for _, arrays in others)
+        self.width = prod(self._sizes)  # W, the number of codes
         # the largest id, at the last row with every node at its maximum, must fit in int64
         pack_points(np.array([len(value_table) - 1]), [np.array([k - 1]) for k in self._sizes], self._sizes)
+        # per other agent: the place value of its digit in a code, and its part of the joint action per node
+        self._radices = [np.int64(prod(self._sizes[:i])) for i in range(len(others))]
+        self._parts = [arrays.actions * prod(sizes[j + 1 :]) for j, arrays in others]
+        self._tables = []  # per other agent: its transition table, the table's row length, its column
+        for j, arrays in others:  # the column in the narrowest dtype, built in blocks of rows
+            column = np.empty(len(value_table), dtype=np.min_scalar_type(arrays.observations.size))
+            for start in range(0, column.size, _COLUMN_BLOCK):
+                column[start : start + _COLUMN_BLOCK] = arrays.ranks(value_table.obs[start : start + _COLUMN_BLOCK, j])
+            self._tables.append((arrays.table, arrays.observations.size + 1, column))
 
     # --- extended-state ids ------------------------------------------------
 
-    def pack(self, rows: np.ndarray, nodes) -> np.ndarray:
-        """Ids of the extended states with these table rows and other agents' node arrays."""
-        return pack_points(rows, nodes, self._sizes)
-
-    def unpack(self, eids: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(table rows, the other agents' node arrays) of the ids ``eids``."""
-        return unpack_points(eids, self._sizes)
-
     def ext(self, eid: int) -> ExtState:
         """The extended state of id ``eid``."""
-        row, code = divmod(eid, self._width)
+        row, code = divmod(eid, self.width)
         nodes = []
         for k in self._sizes:
             code, node = divmod(code, k)
@@ -129,7 +132,7 @@ class BrDetPomdp:
 
     def state(self, eid: int) -> StateId:
         """The environment state of extended state ``eid``."""
-        return self._state_ids.item(eid // self._width)
+        return self._state_ids.item(eid // self.width)
 
     @property
     def interned_count(self) -> int:
@@ -153,10 +156,7 @@ class BrDetPomdp:
             return hit
         row, nodes = self.ext(eid)
         if self._controllers is not None:
-            others = sum(
-                self._controllers[j].nodes[node].action * stride
-                for (j, _, stride), node in zip(self._other_arrays, nodes)
-            )
+            others = sum(part.item(node) for part, node in zip(self._parts, nodes))
         else:
             greedy = self._default_policy.greedy.item(row)
             others = greedy - greedy // self._stride % self.action_count * self._stride
@@ -165,32 +165,34 @@ class BrDetPomdp:
         if self._controllers is not None:
             nodes = tuple(self._controllers[j].advance(node, obs[j]) for j, node in zip(self.others, nodes))
         eid = self.value_table.successor(row, joint)
-        for node, k in zip(reversed(nodes), reversed(self._sizes)):  # the mixed radix of ``pack``
+        for node, k in zip(reversed(nodes), reversed(self._sizes)):  # the mixed radix of the code
             eid = eid * k + node
         own = obs[self.agent]
         result = (eid, own, reward)
         self._step_memo[key] = result
         return result
 
-    def step_rows(self, rows, nodes, actions):
-        """One step of each row under its own action, read from the relaxation table.
+    def step_ids(self, eids: np.ndarray, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step of each id under its own action, read from the relaxation table.
 
-        ``rows`` are table rows, ``nodes`` the other agents' node arrays (one
-        per agent of ``others``; none in the initialization problem) and
-        ``actions`` the own actions, one per row.  Returns (successor rows,
-        own observations, rewards, the other agents' next nodes).
+        ``eids`` (int64) and ``actions`` broadcast together.  Returns
+        (successor ids, own observations, rewards), each of their shape.
         """
+        rows, code = np.divmod(eids, self.width)
+        # the other agents' nodes: the digits of ``code``, or ``code`` itself with one other agent
+        digits = [code] if len(self._sizes) == 1 else [code // radix % k for radix, k in zip(self._radices, self._sizes)]
         if self._controllers is not None:
-            others = sum(arrays.actions[n] * stride for n, (_, arrays, stride) in zip(nodes, self._other_arrays))
+            others = sum(part[d] for part, d in zip(self._parts, digits))
         else:
             # the default joint action without its own-agent part
             greedy = self._default_policy.greedy[rows]
             others = greedy - greedy // self._stride % self.action_count * self._stride
-        joint = actions * self._stride + others
-        succ, rewards = self.value_table.transitions(rows, joint)
-        obs = self.value_table.obs[succ]
-        nodes = [arrays.advance(n, obs[:, j]) for n, (j, arrays, _) in zip(nodes, self._other_arrays)]
-        return succ, obs[:, self.agent], rewards, nodes
+        succ, rewards = self.value_table.transitions(rows, actions * self._stride + others)
+        ids = np.multiply(succ, self.width, dtype=np.int64)
+        for d, radix, (table, row_length, column) in zip(digits, self._radices, self._tables):
+            node = table[d * row_length + column[succ]]
+            ids += node * radix if radix > 1 else node
+        return ids, self._own_obs[succ], rewards
 
     def step_actions(self, eids) -> list[tuple[int, int, float]]:
         """``step`` of every state in ``eids`` under every own action, in one batch.
@@ -198,13 +200,8 @@ class BrDetPomdp:
         Row ``a * len(eids) + k`` is ``step(eids[k], a)``: rows are
         action-major and atom-minor.
         """
-        n = len(eids)
-        own = np.arange(n * self.action_count)
-        atom = own % n  # the atom of each row
-        own //= n
-        rows, nodes = self.unpack(np.array(eids, dtype=np.int64))
-        succ, own_obs, rewards, nodes = self.step_rows(rows[atom], [x[atom] for x in nodes], own)
-        return list(zip(self.pack(succ, nodes).tolist(), own_obs.tolist(), rewards.tolist()))
+        ids, own, rewards = self.step_ids(np.array(eids, dtype=np.int64)[None, :], self._own_actions)
+        return list(zip(ids.ravel().tolist(), own.ravel().tolist(), rewards.ravel().tolist()))
 
     def initial_belief(self) -> SupportBelief:
         """One-to-one lift of the model's initial belief to extended states.
@@ -220,7 +217,7 @@ class BrDetPomdp:
         nodes0 = [] if self._controllers is None else [
             np.full(rows.size, self._controllers[j].initial_node) for j in self.others
         ]
-        return SupportBelief.from_pairs(zip(self.pack(rows, nodes0).tolist(), (w for _, w in b0)))
+        return SupportBelief.from_pairs(zip(pack_points(rows, nodes0, self._sizes).tolist(), (w for _, w in b0)))
 
     def is_terminal(self, eid: int) -> bool:
         """Whether the environment state of ``eid`` is terminal, asked of the model (the oracle's check)."""
@@ -228,7 +225,7 @@ class BrDetPomdp:
 
     def terminal_flag(self, eid: int) -> bool:
         """``is_terminal`` read from the table: the terminal flag of the state's row."""
-        return self._terminal.item(eid // self._width)
+        return self._terminal.item(eid // self.width)
 
     def state_value_hint(self, eid: int) -> float:
         """Upper bound from the fully-observable relaxation: a read of the state's row.
@@ -236,7 +233,7 @@ class BrDetPomdp:
         It is the state's relaxation value widened by the table's
         ``error_bound``, so it stays admissible however loose ``mdp_tol`` is.
         """
-        return self._values.item(eid // self._width) + self._error_bound
+        return self._values.item(eid // self.width) + self._error_bound
 
     def reward_bounds(self) -> tuple[float, float]:
         return self.model.reward_bounds()

@@ -24,11 +24,10 @@ AND-OR search over these support beliefs:
   that evaluated value, so certificates never overstate.
 
 Controllers are valued by ``fsc_values`` on a trajectory graph over points
-(table row, other agents' nodes, own node), built and valued by the same
-``evaluation`` functions as ``exact_value``'s joint-policy graph, each
-frontier stepped by one ``BrDetPomdp.step_rows`` call.  The best fixed
-action is read from the values of the controller whose node ``a`` repeats
-action ``a``.
+(extended-state id, own node), built and valued by the same ``evaluation``
+functions as ``exact_value``'s joint-policy graph, each frontier stepped by
+one ``BrDetPomdp.step_ids`` call.  The best fixed action is read from the
+values of the controller whose node ``a`` repeats action ``a``.
 
 Every expansion steps the belief's atoms under every action in one
 ``BrDetPomdp.step_actions`` batch, made of gathers on the relaxation table
@@ -158,7 +157,7 @@ def fsc_values(m: BrDetPomdp, fsc: Fsc, roots) -> np.ndarray:
     A point is the extended-state id with the own node appended,
     ``eid * len(fsc.nodes) + node``, which fixes the whole future.  All
     roots are valued in one trajectory graph, stepped by
-    ``BrDetPomdp.step_rows``.
+    ``BrDetPomdp.step_ids``.
     """
     arrays = FscArrays.checked(fsc, m.agent, m.action_count)
     size = (len(fsc.nodes),)
@@ -166,11 +165,10 @@ def fsc_values(m: BrDetPomdp, fsc: Fsc, roots) -> np.ndarray:
 
     def step(points):
         eids, (own,) = unpack_points(points, size)
-        rows, others = m.unpack(eids)
-        live = ~terminal[rows]
+        live = ~terminal[eids // m.width]
         own = own[live]
-        succ, obs, rewards, others = m.step_rows(rows[live], [n[live] for n in others], arrays.actions[own])
-        return live, pack_points(m.pack(succ, others), [arrays.advance(own, obs)], size), rewards
+        succ, obs, rewards = m.step_ids(eids[live], arrays.actions[own])
+        return live, pack_points(succ, [arrays.advance(own, obs)], size), rewards
 
     for _, node in roots:
         if not 0 <= node < len(fsc.nodes):

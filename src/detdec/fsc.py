@@ -118,7 +118,8 @@ class FscArrays:
     outside an empty bucket, or -1 where the bucket holds two or more
     observations.  Only rows in such buckets take a binary search, and a
     row whose observation is not the one its rank names reads the fallback
-    column.
+    column.  ``ranks`` gives these columns, so a caller can keep them
+    (``bestresponse`` does, per relaxation-table row) and skip the search.
     """
 
     __slots__ = ("initial_node", "actions", "observations", "table", "_shift", "_first", "_searched")
@@ -162,21 +163,24 @@ class FscArrays:
                 raise ValueError(f"agent {agent} node {index}: action {node.action} outside [0, {action_count})")
         return cls(fsc)
 
-    def advance(self, nodes: np.ndarray, obs: np.ndarray) -> np.ndarray:
-        """Successor node per row, as ``Fsc.advance(nodes[r], obs[r])``.
+    def ranks(self, obs: np.ndarray) -> np.ndarray:
+        """The table column of each observation: its rank in ``observations``, ``W`` where unmapped.
 
-        ``obs`` is an int64, uint32 or uint16 array of non-negative
-        observations; the result is int64.
+        ``obs`` is an int64, uint32 or uint16 array of non-negative observations; the result is int64.
         """
         width = self.observations.size
         if not width:  # the table is the fallback column
-            return self.table[nodes].astype(np.int64)
+            return np.zeros(obs.shape, dtype=np.int64)
         rank = self._first[np.minimum(obs >> self._shift, self._first.size - 1)]
         if self._searched:
             split = rank < 0
             rank[split] = np.minimum(np.searchsorted(self.observations, obs[split]), width - 1)
         rank[self.observations[rank] != obs] = width
-        return self.table[nodes * (width + 1) + rank].astype(np.int64)
+        return rank
+
+    def advance(self, nodes: np.ndarray, obs: np.ndarray) -> np.ndarray:
+        """Successor node per row, as ``Fsc.advance(nodes[r], obs[r])``, as int64."""
+        return self.table[nodes * (self.observations.size + 1) + self.ranks(obs)].astype(np.int64)
 
 
 class JointPolicy:

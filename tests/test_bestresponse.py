@@ -192,7 +192,19 @@ MODELS = {
     "collecting": collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3)),
     "action-obs": action_obs_model(),
     "zero-reward": zero_reward_model(),
+    "mactp-3": mactp_generate(MactpSpec(3, 3, 3, seed=3)),
+    "collecting-3": collecting_generate(CollectingSpec(4, 3, 3, 2, seed=3)),
+    # one agent: the best-response problem has a controller but no other agent
+    "mactp-1": mactp_generate(MactpSpec(3, 1, 2, seed=3)),
 }
+# (rng seed, node cap) of each model's random policy; the three-agent ones have
+# controllers of three distinct sizes, so every best response freezes two of unequal size
+POLICY_DRAWS = {"mactp-3": (18, 5), "collecting-3": (11, 5)}
+
+
+def _policy(name):
+    seed, cap = POLICY_DRAWS.get(name, (11, 3))
+    return random_joint_policy(MODELS[name], SplitMix64(seed), cap)
 
 
 def _parity_problems():
@@ -200,7 +212,7 @@ def _parity_problems():
     cases = {}
     for name, model in MODELS.items():
         table, pi = _mdp_policy(model)
-        policy = random_joint_policy(model, SplitMix64(11))
+        policy = _policy(name)
         for agent in range(model.agent_count):
             cases[f"{name}-a{agent}-init"] = (lambda m=model, a=agent, p=pi: build_init_detpomdp(m, a, p))
             cases[f"{name}-a{agent}-br"] = (
@@ -214,6 +226,11 @@ PARITY = _parity_problems()
 
 class TestStepActions:
     """``step_actions`` against scalar ``step`` on twin problems, one stepped each way."""
+
+    @pytest.mark.parametrize("name", sorted(POLICY_DRAWS))
+    def test_three_agent_policies_have_distinct_sizes(self, name):
+        sizes = _policy(name).sizes()
+        assert len(set(sizes)) == 3 and min(sizes) > 1
 
     @pytest.mark.parametrize("case", sorted(PARITY))
     def test_rows_and_interning_match_scalar_steps(self, case):
@@ -273,11 +290,11 @@ class TestTableAgainstModel:
     """Both step paths read the relaxation table; every row must be the model's own step."""
 
     @pytest.mark.parametrize("kind", ["init", "br"])
-    @pytest.mark.parametrize("name", ["mactp", "collecting", "action-obs"])
+    @pytest.mark.parametrize("name", ["mactp", "collecting", "action-obs", "mactp-3", "collecting-3", "mactp-1"])
     def test_rows_equal_model_steps(self, name, kind):
         model = MODELS[name]
         table, pi = _mdp_policy(model)
-        policy = random_joint_policy(model, SplitMix64(11))
+        policy = _policy(name)
         rng = SplitMix64(13)
         checked = 0
         for agent in range(model.agent_count):
@@ -351,13 +368,33 @@ class TestValueHints:
 
 
 class TestRetainedMemory:
-    def test_solved_problem_holds_little_per_expansion(self):
-        # ids are packed, not interned, and the search steps on table reads:
-        # after its solve a problem holds no table of the states it met
+    @pytest.fixture(scope="class")
+    def mactp_428(self):
+        """mactp 4-2-8 (60,488 table rows): (model, solve params, table, heuristic-init policy)."""
         model = mactp_generate(MactpSpec(4, 2, 8, seed=0))
         params = IdppParams(solve=SolveParams(epsilon=1e-3, node_budget=8000))
         table = value_iteration(model)
-        policy = heuristic_init(model, params, table=table).policy
+        return model, params, table, heuristic_init(model, params, table=table).policy
+
+    def test_construction_peak_per_table_row(self, mactp_428):
+        # each other agent's observation column is built block by block in the narrowest
+        # dtype (uint8 here): the tracemalloc peak reads about 5 bytes a table row, against
+        # about 20 for int64 columns built over the whole table at once
+        model, _, table, policy = mactp_428
+        for agent in (0, 1):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                build_br_detpomdp(model, policy, agent, table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / len(table) <= 8
+
+    def test_solved_problem_holds_little_per_expansion(self, mactp_428):
+        # ids are packed, not interned, and the search steps on table reads:
+        # after its solve a problem holds no table of the states it met
+        model, params, table, policy = mactp_428
         for agent in (0, 1):
             prob = build_br_detpomdp(model, policy, agent, table)
             b0 = prob.initial_belief()

@@ -4,7 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from detdec import Fsc, FscNode, JointPolicy, PolicyFormatError, ResourceLimitError, deserialize, serialize
+from detdec import (
+    CollectingSpec,
+    Fsc,
+    FscNode,
+    JointPolicy,
+    MactpSpec,
+    PolicyFormatError,
+    ResourceLimitError,
+    collecting_generate,
+    deserialize,
+    mactp_generate,
+    serialize,
+    value_iteration,
+)
 from detdec.fsc import TABLE_CELL_LIMIT, FscArrays
 
 
@@ -197,3 +210,40 @@ class TestFscArraysAdvance:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # the table alone would be 128 MB of uint16 cells
+
+
+class TestFscArraysRanks:
+    """``ranks`` gives the table column of every relaxation row's observation, as ``Fsc.advance`` reads it."""
+
+    TABLES = {
+        "mactp-2": lambda: value_iteration(mactp_generate(MactpSpec(3, 2, 4, seed=3))),
+        "collecting-2": lambda: value_iteration(collecting_generate(CollectingSpec(3, 3, 2, 1, seed=3))),
+        "mactp-3": lambda: value_iteration(mactp_generate(MactpSpec(3, 3, 3, seed=3))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_table_at_ranks_matches_fsc(self, name):
+        table = self.TABLES[name]()
+        rng = np.random.default_rng(7)
+        for agent in range(table.obs.shape[1]):
+            column = table.obs[:, agent]
+            seen = np.unique(column)
+            # every other observation strictly inside the seen range: rows below, between and above it stay unmapped
+            mapped = seen[1:-1:2].tolist()
+            assert len(seen) >= 4 and seen[0] < mapped[0] and seen[-1] > mapped[-1]
+            assert set(seen[1:-1].tolist()) > set(mapped)
+            unmapped = Fsc([FscNode(0, fallback=1), FscNode(1), FscNode(0, fallback=0)])
+            for fsc in (unmapped, _random_fsc(rng, mapped)):
+                arrays = FscArrays(fsc)
+                width = arrays.observations.size
+                # the successor of each node on each seen observation, per row by the observation's index in ``seen``
+                expected = np.array([[fsc.advance(n, int(o)) for o in seen] for n in range(fsc.size)])[
+                    :, np.searchsorted(seen, column)
+                ]
+                for dtype in (np.uint16, np.uint32, np.int64):
+                    if seen[-1] > np.iinfo(dtype).max:
+                        continue
+                    ranks = arrays.ranks(column.astype(dtype))
+                    assert ranks.dtype == np.int64
+                    got = arrays.table[np.arange(fsc.size)[:, None] * (width + 1) + ranks]
+                    assert got.tolist() == expected.tolist()
