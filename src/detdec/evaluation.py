@@ -20,12 +20,13 @@ order.
 The graph builder, ``trajectory_graph``, knows points only as int64 ids and
 takes the step as a callback; ``pack_points`` packs a state (or a table
 row) and controller nodes into one id.  Each frontier's successors take
-their rows from a ``model.IdRows`` index as they are found (a large and a
-small recent sorted run, merged geometrically), so no frontier copies every
-known id.  ``graph_values`` works on arrays only: after peeling the points
-no other point leads to, every cycle point walks its cycle in lockstep to
-learn the cycle's length, and the points of one length take the closed
-form together.  The best-response search values its controllers with the
+their rows from a ``model.IdRows`` index (a large and a small recent sorted
+run, merged geometrically) in the call that finds the new ones, so no
+frontier copies every known id.  ``graph_values`` works on arrays only:
+after peeling the points no other point leads to, pointer doubling labels
+every cycle point with the least position on its cycle, a label's count is
+its cycle's length, and the points of one length take the closed form
+together.  The best-response search values its controllers with the
 same builder and ``graph_values`` (``detpomdp.fsc_values``), so there is
 one controller evaluator.
 
@@ -131,8 +132,8 @@ def trajectory_graph(roots: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
     successor ids of the live points and their rewards; a point that is not
     live is terminal.  Rows are ordered frontier by frontier, each frontier
     by id, so the roots come first.  A terminal point's successor row is -1.
-    Each frontier's successors take their rows from an ``IdRows`` index as
-    they are found.
+    Each frontier's successors take their rows from an ``IdRows`` index in
+    the call that finds the new ones.
     """
     index = IdRows(roots)
     frontier = roots
@@ -142,8 +143,7 @@ def trajectory_graph(roots: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
         nxt = np.full(frontier.size, -1, dtype=np.int64)
         rew = np.zeros(frontier.size)
         rew[live] = reward
-        frontier = index.add(succ)
-        nxt[live] = index.rows(succ)
+        frontier, nxt[live] = index.add(succ)
         successors.append(nxt)
         rewards.append(rew)
     del index  # before the rows are copied out
@@ -161,10 +161,11 @@ def graph_values(nxt: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarr
     """Exact value of every point of a trajectory graph (successor row -1: terminal).
 
     Peeling points no other point leads to, layer by layer, leaves the
-    cycles.  Every cycle point then walks its cycle, all in lockstep, and
-    leaves the walk when it is back, which gives its cycle's length; the
-    points of each length take the closed form together.  The peeled
-    layers are valued last, in reverse, each point after its successor.
+    cycles.  Pointer doubling labels every cycle point with the least
+    position on its cycle; labels are distinct, so the first round that
+    changes none is the last needed.  A label's count is its cycle's length,
+    and the points of each length take the closed form together.  The
+    peeled layers are valued last, in reverse, each point after its successor.
     """
     indegree = np.bincount(nxt[nxt >= 0], minlength=nxt.size)
     peeled = []
@@ -179,14 +180,14 @@ def graph_values(nxt: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarr
     cyclic = np.flatnonzero(indegree > 0)
     del indegree  # before the values are allocated
     values = np.zeros(nxt.size)
-    lengths = np.empty(cyclic.size, dtype=np.int64)
-    walk, at = np.arange(cyclic.size), nxt[cyclic]  # walk[k] is at point at[k]
-    length = 1
-    while walk.size:
-        back = at == cyclic[walk]
-        lengths[walk[back]] = length
-        walk, at = walk[~back], nxt[at[~back]]
-        length += 1
+    jump = cyclic.searchsorted(nxt[cyclic])  # each cycle point's successor, as a position in cyclic
+    label = np.arange(cyclic.size)
+    while True:
+        least = np.minimum(label, label[jump])
+        if np.array_equal(least, label):
+            break
+        label, jump = least, jump[jump]
+    lengths = np.bincount(label)[label]
     for length in np.unique(lengths).tolist():
         group = cyclic[lengths == length]
         values[group] = cycle_value(_ahead(nxt, rewards, group, length), gamma, length)

@@ -220,12 +220,13 @@ class MactpModel(DetDecModel):
 
     def _build_batch_tables(self) -> tuple[np.ndarray, ...]:
         """Per (vertex - 1, action): move target - 1, cost, blocking bit; per
-        (vertex - 1, mask slot): the blockage bit shown there.
+        (vertex - 1, mask slot): the position of the blockage bit shown there.
 
         The cost is the move's float reward, minus the edge weight.  WAIT and
         missing edges stay put at cost 0; a deterministic edge has blocking
-        bit 0, so ``bits & bit`` is non-zero exactly when blocked.  Unused
-        mask slots hold bit 0 and never show as blocked.
+        bit 0, so ``bits & bit`` is non-zero exactly when blocked.  An unused
+        mask slot holds the edge count, a position past every blockage bit,
+        so ``bits >> position & 1`` reads 0 there.
         """
         m = self._m
         target = np.repeat(np.arange(m, dtype=np.int64)[:, None], ACTION_COUNT, axis=1)
@@ -239,11 +240,11 @@ class MactpModel(DetDecModel):
                     bit = self._stoch_bit.get(mv[1])
                     if bit is not None:
                         block_bit[v - 1, a] = 1 << bit
-        shown = np.zeros((m, 4), dtype=np.int64)
+        shift = np.full((m, 4), self._n_edges, dtype=np.int64)
         for v in range(1, m + 1):
             for slot, bit in enumerate(self._incident[v]):
-                shown[v - 1, slot] = 1 << bit
-        return target, 0.0 - weight, block_bit, shown
+                shift[v - 1, slot] = bit
+        return target, 0.0 - weight, block_bit, shift
 
     def _tables(self) -> tuple[np.ndarray, ...]:
         if self._batch is None:
@@ -298,15 +299,17 @@ class MactpModel(DetDecModel):
 
     def observe_batch(self, states):
         """``_observe`` over an array of states: one row per state, one column per agent."""
-        shown = self._tables()[3]
+        shift = self._tables()[3]
         high, code = np.divmod(states, self._pos_card)
         bits = (high & self._bits_mask)[:, None]
         base = code * _OBS_MASK_RADIX
-        slot_values = 1 << np.arange(shown.shape[1], dtype=np.int64)
+        slot_values = 1 << np.arange(shift.shape[1], dtype=np.int64)
         obs = np.empty((len(states), self.agent_count), dtype=np.int64)
         for i in range(self.agent_count):
             code, p = np.divmod(code, self._m)
-            blocked = (bits & shown[p]) != 0
+            blocked = shift.take(p, axis=0)
+            np.right_shift(bits, blocked, out=blocked)
+            blocked &= 1
             obs[:, i] = base + blocked @ slot_values
         return obs
 

@@ -14,9 +14,10 @@ fills a chunk's rows, ``observe_batch`` and ``terminal_batch`` give each of
 its states' joint observation and terminal flag beside them, and the chunk's
 successor ids are reduced to their distinct ones at once.  An ``IdRows``
 index (``model``) then finds the layer's new states among the chunk-distinct
-ids and gives each its layer-order row; it keeps the known states in a
-large and a small recent sorted run, so a layer copies the recent run, not
-every known state.
+ids, gives each its layer-order row and returns the row of every
+chunk-distinct id, all in one call; it keeps the known states in a large
+and a small recent sorted run, so a layer copies the recent run, not every
+known state.
 
 Table layout.  Row ``k`` is the ``k``-th reachable state found: the
 roots, then each layer's new states by id; ``state_ids`` maps rows to
@@ -313,12 +314,11 @@ def _reachable_tables(model: DetDecModel, belief: SupportBelief, state_cap: int)
             del ids, r, at, codes, joint_obs  # before the next chunk's
         offsets = np.cumsum([0] + [part.size for part in found]).tolist()
         found = np.concatenate(found)
-        frontier = index.add(found)
+        frontier, rows = index.add(found)
         if index.size > state_cap:
             raise ResourceLimitError(f"reachable state set exceeds state_cap={state_cap}")
         if index.size > _ROW_LIMIT:
             raise ResourceLimitError(f"reachable state set exceeds the int32 row bound {_ROW_LIMIT}")
-        rows = index.rows(found)
         for lo, offset in zip(range(start, stop, chunk), offsets):
             _relabel(succ, lo, min(lo + chunk, stop), rows[offset:])
         del found, rows  # before the next layer's

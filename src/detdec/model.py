@@ -71,13 +71,14 @@ class IdRows:
     """Rows of distinct int64 ids, numbered in the order the ids are added.
 
     The ids are held in two sorted runs, each beside its rows: a large run
-    and a small recent one.  ``add`` inserts into the recent run only, and
-    the recent run is merged into the large one once it holds more than an
-    eighth of it, so the large run grows geometrically and an id is copied
-    a few times in all, not once per ``add``.  A lookup is one
-    ``searchsorted`` per run.  An ``add`` of more than an eighth as many ids
-    as the large run holds merges too: looking those ids up in a second run
-    would cost more than the merge.
+    and a small recent one.  ``add`` searches each run once for a batch's
+    distinct ids, which gives the known ones their rows, and inserts the
+    new ones into the recent run only.  The recent run is merged into the
+    large one once it holds more than an eighth of it, so the large run
+    grows geometrically and an id is copied a few times in all, not once
+    per ``add``.  An ``add`` of more than an eighth as many ids as the large
+    run holds merges too: looking those ids up in a second run would cost
+    more than the merge.
     """
 
     def __init__(self, ids: np.ndarray, dtype=np.int64) -> None:
@@ -86,39 +87,32 @@ class IdRows:
         self._large = ids, np.arange(ids.size, dtype=dtype)
         self._recent = ids[:0], np.empty(0, dtype=dtype)
 
-    def add(self, ids: np.ndarray) -> np.ndarray:
-        """The distinct ``ids`` not added before, sorted; each takes the next row, in that order.
+    def add(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(new, rows)``: the distinct ``ids`` not added before, sorted; the row of each of ``ids``.
 
-        The sorted unique is a sort plus an adjacent compare, not
-        ``np.unique``: numpy 2's hashing unique ran about 18x slower than
-        this sort on 5M ids.
+        New ids take the next rows, in sorted order.  The sorted unique is a
+        sort plus an adjacent compare, not ``np.unique``: numpy 2's hashing
+        unique ran about 18x slower than this sort on 5M ids.
         """
         found = np.sort(ids, axis=None)
         distinct = np.ones(found.size, dtype=bool)
         distinct[1:] = found[1:] != found[:-1]
         found = found[distinct]
-        known = np.zeros(found.size, dtype=bool)
-        for run, _ in (self._large, self._recent):
+        found_rows = np.full(found.size, -1, dtype=self._recent[1].dtype)  # -1 until found in a run
+        for run, run_rows in (self._large, self._recent):
             if run.size:
-                known |= run.take(run.searchsorted(found), mode="clip") == found
-        new = found[~known]
-        rows = np.arange(self.size, self.size + new.size, dtype=self._recent[1].dtype)
+                at = run.searchsorted(found)
+                np.copyto(found_rows, run_rows.take(at, mode="clip"), where=run.take(at, mode="clip") == found)
+        fresh = found_rows < 0
+        new = found[fresh]
+        rows = np.arange(self.size, self.size + new.size, dtype=found_rows.dtype)
+        found_rows[fresh] = rows
         self._recent = _merged_runs(*self._recent, new, rows)
         self.size += new.size
         if 8 * max(self._recent[0].size, ids.size) > self._large[0].size:
             self._large = self.merged()
             self._recent = new[:0], rows[:0]
-        return new
-
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """The row of each of ``ids``, every one of which was added."""
-        (large, large_rows), (recent, recent_rows) = self._large, self._recent
-        at = large.searchsorted(ids)
-        rows = large_rows.take(at, mode="clip")
-        if recent.size:
-            in_recent = large.take(at, mode="clip") != ids
-            rows = np.where(in_recent, recent_rows.take(recent.searchsorted(ids), mode="clip"), rows)
-        return rows
+        return new, found_rows.take(found.searchsorted(ids))
 
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
         """(every added id, sorted; the row of each)."""

@@ -283,6 +283,7 @@ class TestGraphFunctions:
     @example(([-1], [1.5]), 0.95)  # a terminal point
     @example(_graph([300], 0, 0, 0.0, 1), 0.9)  # one long cycle, entered at every point
     @example(_graph([1, 2, 3, 250], 2, 600, 0.98, 2), 0.999)  # long shared tails
+    @example(_graph([1, 2, 63, 64, 65, 129], 1, 50, 0.5, 3), 0.95)  # lengths beside powers of two: doubling rounds
     def test_graph_values_equal_the_scalar_walk(self, graph, gamma):
         nxt, rewards = graph
         values = graph_values(np.array(nxt, dtype=np.int64), np.array(rewards), gamma)
@@ -304,17 +305,17 @@ class TestGraphFunctions:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 3000), max_size=60), min_size=1, max_size=80),
-           st.integers(1, 400))
-    @example([[2 * k + 1, 2 * k, 5] for k in range(300)], 1000)  # one new id a batch: the recent run fills
-    def test_id_rows_number_ids_in_order_of_addition(self, batches, roots):
-        index = IdRows(np.arange(0, 2 * roots, 2, dtype=np.int64))
+           st.integers(1, 400), st.sampled_from([np.int64, np.int32]))
+    @example([[2 * k + 1, 2 * k, 5] for k in range(300)], 1000, np.int64)  # one new id a batch: the recent run fills
+    @example([[7, 3, 7, 1, 3], [3, 9, 9, 0], []], 2, np.int32)  # unsorted, repeated within a batch, empty
+    def test_id_rows_number_ids_in_order_of_addition(self, batches, roots, dtype):
+        index = IdRows(np.arange(0, 2 * roots, 2, dtype=np.int64), dtype)
         row = {2 * k: k for k in range(roots)}
         for batch in batches:
-            new = index.add(np.array(batch, dtype=np.int64))
+            new, rows = index.add(np.array(batch, dtype=np.int64))
             assert new.tolist() == sorted(set(batch) - row.keys())
             row.update({p: k for k, p in enumerate(new.tolist(), start=len(row))})
-            ids = sorted(row)
-            assert index.rows(np.array(ids, dtype=np.int64)).tolist() == [row[p] for p in ids]
+            assert rows.dtype == dtype and rows.tolist() == [row[p] for p in batch]
             assert 8 * index._recent[0].size <= index._large[0].size  # merged once past an eighth
         ids, rows = index.merged()
         assert ids.tolist() == sorted(row) and rows.tolist() == [row[p] for p in sorted(row)]
@@ -324,9 +325,11 @@ class TestGraphFunctions:
         index = IdRows(np.arange(0, 2000, 2, dtype=np.int64))
         recent = []
         for k in range(300):
-            index.add(np.array([2 * k + 1], dtype=np.int64))
+            # a new id, a large-run id, the first added id and the last one (in the recent run till merged)
+            new, rows = index.add(np.array([2 * k + 1, 2 * k, 1, 2 * k - 1 if k else 1], dtype=np.int64))
             recent.append(index._recent[0].size)
-            assert index.rows(np.array([2 * k + 1, 2 * k, 1], dtype=np.int64)).tolist() == [1000 + k, k, 1000]
+            assert new.tolist() == [2 * k + 1]
+            assert rows.tolist() == [1000 + k, k, 1000, 1000 + max(k - 1, 0)]
         assert recent[:126] == [*range(1, 126), 0]  # merged once past an eighth of 1,000
         assert recent.count(0) == 2 and recent[-1] > 0
 

@@ -70,19 +70,22 @@ def _assert_step_batch_matches_scalar(model, states):
     assert terminal.dtype == bool and terminal.tolist() == [model.is_terminal(s) for s in states]
 
 
-def _assert_observe_batch_matches_step_batch(model, states):
-    """``observe_batch`` of the successors of every (state, joint action) row against ``step_batch``'s observations."""
-    rows = [(s, a) for s in states for a in model.joint_actions()]
-    states = np.array([s for s, _ in rows], dtype=np.int64)
-    actions = np.array([a for _, a in rows], dtype=np.int64)
-    succ, obs, _ = model.step_batch(states, actions)
-    got = model.observe_batch(succ)
-    assert got.dtype == np.int64 and got.shape == obs.shape and got.tolist() == obs.tolist()
+def _assert_observe_batch_matches_step(model, states):
+    """``observe_batch`` of the successor of every (state, joint action) row against ``step``'s observation.
+
+    ``step_batch`` renders its observations with ``observe_batch``, so the scalar ``step`` is the oracle.
+    """
+    steps = [model.step(s, a) for s in states for a in model.joint_actions()]
+    got = model.observe_batch(np.array([s2 for s2, _, _ in steps], dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (len(steps), model.agent_count)
+    assert got.tolist() == [list(obs) for _, obs, _ in steps]
 
 
 MACTP, COLLECTING = _small_benchmark_models()  # property-test instances
 # an endpoint of the first stochastic edge, for an agent facing it while it is blocked
 _EDGE_END = grid_edges(3)[MACTP.instance.stochastic[0]][0]
+# every edge stochastic: the centre vertex 5 shows four blockage bits, one per mask slot
+MACTP_ALL_STOCHASTIC = mactp_generate(MactpSpec(3, 2, 12, seed=3))
 _COLS = COLLECTING.instance.width + 2
 _FREE = tuple(
     r * _COLS + c
@@ -326,20 +329,36 @@ class TestBatchKernel:
     @given(_mactp_states)
     @example([MACTP.pack((_EDGE_END, 1), 1, 0), MACTP.pack((1, _EDGE_END), 2**4 - 1, 1)])  # blocked
     def test_observation_batch_mactp_random_states(self, states):
-        _assert_observe_batch_matches_step_batch(MACTP, states)
+        _assert_observe_batch_matches_step(MACTP, states)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(
+        st.builds(
+            MACTP_ALL_STOCHASTIC.pack,
+            st.tuples(*[st.sampled_from([2, 4, 5, 6, 8])] * 2),  # the centre and its neighbours
+            st.integers(0, 2**12 - 1),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=8,
+    ))
+    @example([MACTP_ALL_STOCHASTIC.pack((5, 5), 2**12 - 1, 0), MACTP_ALL_STOCHASTIC.pack((5, 4), 0b101010101010, 2)])
+    def test_observation_batch_mactp_four_stochastic_edges(self, states):
+        assert len(MACTP_ALL_STOCHASTIC._incident[5]) == 4
+        _assert_observe_batch_matches_step(MACTP_ALL_STOCHASTIC, states)
 
     @settings(max_examples=30, deadline=None)
     @given(_collecting_states)
     @example([COLLECTING.pack(_PAIR, (1, 0), 0b0110, 0), COLLECTING.pack(_PAIR[::-1], (0, 0), 0, 0)])  # collide
     def test_observation_batch_collecting_random_states(self, states):
-        _assert_observe_batch_matches_step_batch(COLLECTING, states)
+        _assert_observe_batch_matches_step(COLLECTING, states)
 
     def test_observation_batch_of_tabular_copies(self):
         # a table whose observations depend on the action: its copies make them a function of the successor
         model = action_obs_model()
         states = value_iteration(model).state_ids.tolist()
         assert len(states) > len(model.initial_belief())  # copies are reachable
-        _assert_observe_batch_matches_step_batch(model, states)
+        _assert_observe_batch_matches_step(model, states)
 
     @pytest.mark.parametrize("model", _small_benchmark_models(), ids=["mactp", "collecting"])
     def test_step_batch_rejects_out_of_range_input(self, model):
